@@ -7,8 +7,7 @@ boundary and show that the B=8 false-sharing component disappears while
 everything else is unchanged.
 """
 
-from repro.classify import DuboisClassifier
-from repro.mem import BlockMap
+from repro.classify import classify
 from repro.workloads import Jacobi
 
 
@@ -25,8 +24,8 @@ def test_barrier_padding_removes_small_block_false_sharing(benchmark):
     print(f"{'B':>5s} {'PFS unpadded':>13s} {'PFS padded':>11s}")
     results = {}
     for bb in (8, 16, 32, 64):
-        pfs_u = DuboisClassifier.classify_trace(unpadded, BlockMap(bb)).pfs
-        pfs_p = DuboisClassifier.classify_trace(padded, BlockMap(bb)).pfs
+        pfs_u = classify(unpadded, bb).pfs
+        pfs_p = classify(padded, bb).pfs
         results[bb] = (pfs_u, pfs_p)
         print(f"{bb:>5d} {pfs_u:>13d} {pfs_p:>11d}")
 
@@ -38,8 +37,8 @@ def test_barrier_padding_removes_small_block_false_sharing(benchmark):
         assert results[bb][1] < results[bb][0]
 
     # The padding leaves true sharing untouched at B=8.
-    bu = DuboisClassifier.classify_trace(unpadded, BlockMap(8))
-    bp = DuboisClassifier.classify_trace(padded, BlockMap(8))
+    bu = classify(unpadded, 8)
+    bp = classify(padded, 8)
     assert abs((bu.pts + bu.cts) - (bp.pts + bp.cts)) \
         <= 0.02 * (bu.pts + bu.cts)
     benchmark.extra_info["pfs_by_block"] = {

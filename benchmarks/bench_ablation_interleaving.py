@@ -12,8 +12,7 @@ which is why trace-driven methodology is still meaningful.
 
 import pytest
 
-from repro.classify import DuboisClassifier
-from repro.mem import BlockMap
+from repro.classify import classify
 from repro.trace.interleave import reinterleave_sync_safe
 from repro.trace.validate import check_races
 
@@ -21,16 +20,13 @@ SEEDS = (1, 2, 3, 4, 5)
 
 
 def test_interleaving_changes_essential_count(benchmark, mp3d200):
-    bm = BlockMap(64)
-
     def run():
         counts = {}
-        base = DuboisClassifier.classify_trace(mp3d200, bm).essential
+        base = classify(mp3d200, 64).essential
         counts["base"] = base
         for seed in SEEDS:
             variant = reinterleave_sync_safe(mp3d200, seed=seed)
-            counts[f"seed{seed}"] = DuboisClassifier.classify_trace(
-                variant, bm).essential
+            counts[f"seed{seed}"] = classify(variant, 64).essential
         return counts
 
     counts = benchmark.pedantic(run, rounds=1, iterations=1)

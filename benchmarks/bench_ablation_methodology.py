@@ -16,8 +16,7 @@ We demonstrate both halves of that argument on our simulated machine:
    bit-for-bit reproducible.
 """
 
-from repro.classify import DuboisClassifier
-from repro.mem import BlockMap
+from repro.classify import classify
 from repro.protocols import run_protocols
 from repro.workloads import MP3D
 
@@ -45,7 +44,7 @@ def test_execution_driven_variability(benchmark):
         counts = {}
         for seed in SEEDS:
             trace = _mp3d("random", seed)
-            bd = DuboisClassifier.classify_trace(trace, BlockMap(64))
+            bd = classify(trace, 64)
             counts[seed] = (len(trace), bd.total, bd.essential)
         return counts
 

@@ -15,8 +15,7 @@ Paper claims reproduced:
 import pytest
 
 from repro.analysis.sweep import sweep_block_sizes
-from repro.classify import DuboisClassifier
-from repro.mem import BlockMap
+from repro.classify import classify
 from repro.protocols import run_protocols
 
 
@@ -41,7 +40,7 @@ def test_false_sharing_moves_to_larger_blocks(benchmark, lu32, lu64):
 
     def onset(trace):
         for bb in (4, 8, 16, 32, 64, 128, 256, 512, 1024):
-            bd = DuboisClassifier.classify_trace(trace, BlockMap(bb))
+            bd = classify(trace, bb)
             if bd.pfs > 0.05 * max(1, bd.total):
                 return bb
         return 2048
@@ -61,7 +60,7 @@ def test_otf_within_reach_of_essential_at_cache_blocks(benchmark, large_suite):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     print()
     for trace in large_suite:
-        bd = DuboisClassifier.classify_trace(trace, BlockMap(64))
+        bd = classify(trace, 64)
         otf_rate = None
         res = run_protocols(trace, 64, ["OTF"])
         otf_rate = res["OTF"].miss_rate

@@ -17,7 +17,6 @@ from repro.runtime.resources import peak_rss_bytes
 from repro.classify import (
     DuboisClassifier,
     EggersClassifier,
-    ReferenceDuboisClassifier,
     TorrellasClassifier,
 )
 from repro.mem import BlockMap
@@ -215,7 +214,7 @@ def test_fig5_sweep_end_to_end_speedup(benchmark, tmp_path_factory):
     * **before** — the pre-refactor workflow: generate the trace (every run
       regenerated it; there was no cache), then stream the event tuples
       through the Appendix A transliteration
-      (:class:`ReferenceDuboisClassifier`) once per block size, recomputing
+      (:class:`DuboisClassifier`) once per block size, recomputing
       the block address per access.
     * **after** — the engine workflow: load the trace from the warm on-disk
       npz cache (generated once, adopted as columns without decoding) and
@@ -233,7 +232,7 @@ def test_fig5_sweep_end_to_end_speedup(benchmark, tmp_path_factory):
     def before():
         full = make_workload(name).generate()
         tup = Trace(full.events, full.num_procs, name=name, copy=False)
-        return tuple(ReferenceDuboisClassifier.classify_trace(tup, BlockMap(bb))
+        return tuple(DuboisClassifier.classify_trace(tup, BlockMap(bb))
                      for bb in PAPER_BLOCK_SIZES)
 
     def after():

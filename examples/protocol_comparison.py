@@ -13,8 +13,7 @@ import sys
 
 from repro import run_protocols
 from repro.analysis import format_stacked_bars
-from repro.classify import DuboisClassifier
-from repro.mem import BlockMap
+from repro.classify import classify
 from repro.workloads import make_workload
 
 
@@ -25,8 +24,7 @@ def main(workload_name="JACOBI64", block_bytes=1024):
     print(f"  {len(trace)} events ({counts.loads} loads, {counts.stores} "
           f"stores, {counts.acquires + counts.releases} sync)\n")
 
-    essential = DuboisClassifier.classify_trace(
-        trace, BlockMap(block_bytes)).essential_rate
+    essential = classify(trace, block_bytes).essential_rate
     print(f"Essential miss rate of the trace: {essential:.2f}% "
           f"(the floor any schedule can reach)\n")
 

@@ -19,9 +19,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..classify.breakdown import DuboisBreakdown, MissClass
-from ..classify.dubois import DuboisClassifier
+import numpy as np
+
+from ..classify.breakdown import DuboisBreakdown
 from ..errors import ConfigError
+from ..kernels.classifiers import KernelContext, dubois_lifetime_classes
 from ..mem.addresses import BlockMap
 from ..trace.trace import Trace
 from .report import format_table
@@ -100,6 +102,43 @@ class AttributionResult:
                   f"data structure")
 
 
+def _classification_order(ctx: KernelContext, fetch: np.ndarray,
+                          offset_bits: int) -> np.ndarray:
+    """Permutation of the misses into the order Appendix A classifies them.
+
+    A lifetime is classified when it ends: at the first store to its
+    block by another processor after the fetch (lifetimes ended by one
+    store go in processor order), else at the end of the trace (blocks in
+    first-access order, then processor order).
+    """
+    n = ctx.n
+    bid = ctx.addr >> offset_bits
+    order = np.argsort(bid, kind="stable")        # (block, time) order
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    sorted_bid = bid[order]
+    spos = np.flatnonzero(ctx.store8[order])      # stores, in that order
+    m = len(spos)
+    sblock = np.append(sorted_bid[spos], -1)      # slot m: "no store"
+    sproc = np.append(ctx.proc[order[spos]], -1)
+    srow = np.append(order[spos], 0)
+    # Per store: the block's next store by a different processor (the
+    # first store of the next same-block run of one processor's stores).
+    new_run = np.ones(m, dtype=bool)
+    new_run[1:] = ((sblock[1:m] != sblock[:m - 1])
+                   | (sproc[1:m] != sproc[:m - 1]))
+    starts = np.flatnonzero(new_run)
+    other = np.append(np.append(starts[1:], m)[np.cumsum(new_run) - 1], m)
+    other[sblock[other] != sblock] = m
+    fblock, fproc = bid[fetch], ctx.proc[fetch]
+    end = np.searchsorted(spos, pos[fetch], side="right")
+    end[sblock[end] != fblock] = m
+    end = np.where(sproc[end] == fproc, other[end], end)
+    first_row = order[np.searchsorted(sorted_bid, fblock)]
+    key = np.where(end < m, srow[end], n + first_row)
+    return np.lexsort((fproc, key))
+
+
 def attribute_misses(trace: Trace, block_bytes: int,
                      regions: Optional[Sequence[Tuple[str, int, int]]] = None
                      ) -> AttributionResult:
@@ -113,19 +152,17 @@ def attribute_misses(trace: Trace, block_bytes: int,
     """
     table = (RegionTable(regions) if regions is not None
              else RegionTable.from_trace(trace))
-    records: List = []
-    DuboisClassifier.classify_trace(trace, BlockMap(block_bytes),
-                                    record_misses=True, out_records=records)
-    counts: Dict[str, Dict[MissClass, int]] = {}
-    for record in records:
-        name = table.name_of(record.word)
-        per = counts.setdefault(name, {mc: 0 for mc in MissClass})
-        per[record.mclass] += 1
-    refs = sum(1 for _, op, _ in trace.events if op in (0, 1))
+    ctx = KernelContext.from_trace(trace)
+    block_map = BlockMap(block_bytes)
+    fetch, code = dubois_lifetime_classes(ctx, block_map)
+    # Regions are listed in the order their first miss is classified.
+    order = _classification_order(ctx, fetch, block_map.offset_bits)
+    counts: Dict[str, List[int]] = {}
+    for word, c in zip(ctx.addr[fetch[order]].tolist(),
+                       code[order].tolist()):
+        counts.setdefault(table.name_of(word), [0] * 5)[c] += 1
     by_region = {
-        name: DuboisBreakdown(pc=per[MissClass.PC], cts=per[MissClass.CTS],
-                              cfs=per[MissClass.CFS], pts=per[MissClass.PTS],
-                              pfs=per[MissClass.PFS], data_refs=refs)
+        name: DuboisBreakdown(*per, data_refs=ctx.n)
         for name, per in counts.items()}
     return AttributionResult(trace_name=trace.name or "<anonymous>",
                              block_bytes=block_bytes, by_region=by_region)

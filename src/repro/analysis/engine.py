@@ -35,6 +35,7 @@ Typical use::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import logging
 import os
@@ -124,25 +125,33 @@ CLASSIFIERS = {
 Cell = Tuple[str, int, Optional[str]]
 
 
-def _feed_chunked(clf, *cols) -> None:
+def _feed_chunked(feed, *cols) -> None:
     """Feed a classifier its columns in heartbeat-sized slices.
 
-    All three classifier ``feed_data`` implementations are re-entrant
-    (their cursors live on ``self``), so slicing the columns and calling
-    repeatedly is state-identical to one big call.  Between slices the
-    engine ticks the runtime's progress counter, which both feeds the
-    worker heartbeat (stall watchdog) and acts as a cancellation point
-    for graceful shutdown — at zero per-event cost inside the hot loops.
+    ``feed`` is a classifier's ``feed_data`` (or :func:`_access_rows`
+    bound to the Dubois transliteration); every classifier keeps its
+    cursors on ``self``, so slicing the columns and calling repeatedly
+    is state-identical to one big call.  Between slices the engine ticks
+    the runtime's progress counter, which both feeds the worker
+    heartbeat (stall watchdog) and acts as a cancellation point for
+    graceful shutdown — at zero per-event cost inside the hot loops.
     """
     n = len(cols[0])
     step = signals.HEARTBEAT_CHUNK
     if n <= step:
-        clf.feed_data(*cols)
+        feed(*cols)
         signals.note_progress(n)
         return
     for start in range(0, n, step):
-        clf.feed_data(*(c[start:start + step] for c in cols))
+        feed(*(c[start:start + step] for c in cols))
         signals.note_progress(min(step, n - start))
+
+
+def _access_rows(clf, procs, ops, addrs) -> None:
+    """Feed decoded data rows to a classifier one ``access`` at a time."""
+    access = clf.access
+    for proc, op, addr in zip(procs, ops, addrs):
+        access(proc, op, addr)
 
 
 def partition_dim_for(cell: Cell) -> Optional[PartitionDim]:
@@ -198,7 +207,7 @@ class SharedPrecompute:
         self._blocks: Dict[int, list] = {}
         self._offset_bits: Dict[int, list] = {}
         self._keep_masks: Dict[int, Optional[np.ndarray]] = {}
-        self._active_rows: Dict[int, Tuple[tuple, int]] = {}
+        self._active_rows: Dict[int, Tuple[list, list, list]] = {}
         self._segments: Optional[List] = None
         self._shard_plans: Dict[Tuple[str, int, int], ShardPlan] = {}
         self._plans_by_digest: Dict[str, ShardPlan] = {}
@@ -278,7 +287,7 @@ class SharedPrecompute:
 
         Since the criterion is per (block, processor), the mask composes
         with block sharding: a shard feeds its rows where the mask holds
-        and re-adds its own dropped-row count to ``data_refs``.
+        and still counts every one of its rows in ``data_refs``.
 
         Returns ``None`` when the filter does not apply (processor counts
         that overflow an int64 bitmask).
@@ -304,29 +313,20 @@ class SharedPrecompute:
         return self._keep_masks[bits]
 
     def dubois_active_rows(self, block_map: BlockMap
-                           ) -> Tuple[Optional[tuple], int]:
-        """Data rows that can change Dubois state at one block size.
-
-        Returns ``((procs, ops, addrs, blocks), dropped)`` where the lists
-        hold only *active* rows (per :meth:`dubois_keep_mask`) and
-        ``dropped`` is the number of elided rows (they still count as data
-        references).  Returns ``(None, 0)`` when the filter does not apply.
-        """
+                           ) -> Tuple[list, list, list]:
+        """``(procs, ops, addrs)`` of the data rows that can change Dubois
+        state at one block size (per :meth:`dubois_keep_mask`), decoded
+        once.  The elided rows still count as data references."""
         bits = block_map.offset_bits
         if bits not in self._active_rows:
             keep = self.dubois_keep_mask(block_map)
-            if keep is None:
-                self._active_rows[bits] = (None, 0)
-                return self._active_rows[bits]
-            dropped = int(len(keep) - keep.sum())
-            if dropped == 0:
-                rows = None  # nothing elided: reuse the shared full rows
+            if keep is None or keep.all():
+                rows = self.data_rows()
             else:
                 rows = (self.data.proc[keep].tolist(),
                         self.data.op[keep].tolist(),
-                        self.data.addr[keep].tolist(),
-                        self.data.block_ids(bits)[keep].tolist())
-            self._active_rows[bits] = (rows, dropped)
+                        self.data.addr[keep].tolist())
+            self._active_rows[bits] = rows
         return self._active_rows[bits]
 
     # ------------------------------------------------------------------
@@ -380,27 +380,23 @@ class SharedPrecompute:
                 f"{sorted(CLASSIFIERS)}") from None
         block_map = BlockMap(block_bytes)
         if self.resolve_cell("classify", which) == "vectorized":
-            # data_refs counts every data row either way: the kernel sees
-            # the full batch, so nothing needs re-adding (the interpreted
-            # path's elision re-adds its dropped rows for the same total).
             return CLASSIFIER_KERNELS[which](
                 self.kernel_context(), block_map,
                 stats=self.last_kernel_stats)
         clf = cls(self.trace.num_procs, block_map)
         if which == "dubois":
-            rows, dropped = self.dubois_active_rows(block_map)
-            if rows is not None:
-                _feed_chunked(clf, *rows)
-                # Elided no-op reads still count as data references.
-                return dataclasses.replace(clf.finish(),
-                                           data_refs=clf.data_refs + dropped)
+            _feed_chunked(functools.partial(_access_rows, clf),
+                          *self.dubois_active_rows(block_map))
+            # Elided no-op reads still count as data references.
+            return dataclasses.replace(clf.finish(),
+                                       data_refs=len(self.data.proc))
         procs, ops, addrs = self.data_rows()
         blocks = self.data_blocks(block_map)
         if which == "eggers":
-            _feed_chunked(clf, procs, ops, addrs, blocks,
+            _feed_chunked(clf.feed_data, procs, ops, addrs, blocks,
                           self.data_offset_bits(block_map))
         else:
-            _feed_chunked(clf, procs, ops, addrs, blocks)
+            _feed_chunked(clf.feed_data, procs, ops, addrs, blocks)
         return clf.finish()
 
     def run_comparison(self, block_bytes: int) -> ClassificationComparison:
@@ -474,7 +470,7 @@ class SharedPrecompute:
         All three classifiers ignore synchronization events, so the shard
         feed is exactly the shard's data rows (no sync replication).  The
         Dubois feed additionally composes with the no-op read elision
-        mask; the shard's own elided rows are re-added to ``data_refs`` so
+        mask; ``data_refs`` still counts the shard's elided rows, so
         partials sum to the full count.
         """
         if which not in CLASSIFIERS:
@@ -490,17 +486,15 @@ class SharedPrecompute:
                 ctx, block_map, stats=self.last_kernel_stats)
         clf = CLASSIFIERS[which](self.trace.num_procs, block_map)
         if which == "dubois":
-            dropped = 0
+            refs = int(sel.sum())
             keep = self.dubois_keep_mask(block_map)
             if keep is not None:
-                dropped = int((sel & ~keep).sum())
                 sel &= keep
-            _feed_chunked(clf, self.data.proc[sel].tolist(),
+            _feed_chunked(functools.partial(_access_rows, clf),
+                          self.data.proc[sel].tolist(),
                           self.data.op[sel].tolist(),
-                          self.data.addr[sel].tolist(),
-                          blocks[sel].tolist())
-            return dataclasses.replace(clf.finish(),
-                                       data_refs=clf.data_refs + dropped)
+                          self.data.addr[sel].tolist())
+            return dataclasses.replace(clf.finish(), data_refs=refs)
         procs = self.data.proc[sel].tolist()
         ops = self.data.op[sel].tolist()
         addrs = self.data.addr[sel].tolist()
@@ -508,10 +502,10 @@ class SharedPrecompute:
         if which == "eggers":
             offsets = self.data.word_offsets(
                 block_map.words_per_block)[sel].tolist()
-            _feed_chunked(clf, procs, ops, addrs, blks,
+            _feed_chunked(clf.feed_data, procs, ops, addrs, blks,
                           [1 << o for o in offsets])
         else:
-            _feed_chunked(clf, procs, ops, addrs, blks)
+            _feed_chunked(clf.feed_data, procs, ops, addrs, blks)
         return clf.finish()
 
     def run_comparison_shard(self, block_bytes: int, digest: str,
@@ -636,7 +630,8 @@ class ExecutionOptions:
 
     #: Retry policy for failed/hung cells (``None``: engine default).
     retry: Optional[RetryPolicy] = None
-    #: Per-cell wall-clock timeout in seconds (``None``: no timeout).
+    #: Per-cell stall timeout in seconds: a worker whose progress
+    #: heartbeat stops for this long is presumed hung (``None``: none).
     timeout: Optional[float] = None
     #: Journal completed cells under this directory and resume from it
     #: (``None``: no checkpointing; ``""``: the default checkpoint dir).
@@ -656,8 +651,8 @@ class ExecutionOptions:
     #: Record run telemetry (spans, metrics, manifest) under this
     #: directory (``--telemetry``); ``None`` disables recording.
     telemetry_dir: Optional[str] = None
-    #: Execution-path selection (``--kernel``): ``auto`` runs vectorized
-    #: kernels where available, ``vectorized`` requires NumPy,
+    #: Execution-path selection (``--kernel``): ``auto`` and
+    #: ``vectorized`` run vectorized kernels where available,
     #: ``interpreted`` forces the streaming oracles everywhere.
     kernel: str = "auto"
     #: Remote worker runners joining the sweep (``--hosts h1:p,h2:p``);
@@ -694,8 +689,10 @@ class SweepEngine:
         cells (default: 3 worker attempts with capped exponential
         backoff, then one serial in-process fallback attempt).
     timeout:
-        Per-cell wall-clock seconds before a worker is presumed hung and
-        its cell retried.  ``None`` (default) disables the timeout.
+        Per-cell stall seconds: a worker whose progress heartbeat stops
+        advancing for this long is presumed hung and its cell retried (a
+        slow cell that keeps making progress is never killed).  ``None``
+        (default) disables the timeout.
     checkpoint_dir:
         When set, every completed cell is journaled durably under this
         directory, keyed by ``(trace key, cell)``, and a later run over

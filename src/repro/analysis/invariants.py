@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..classify.compare import ClassificationComparison
-from ..classify.dubois import DuboisClassifier
+from ..classify.dubois import classify
 from ..mem.addresses import BlockMap
 from ..protocols.results import ProtocolResult
 from ..trace.trace import Trace
@@ -50,8 +50,7 @@ def check_min_is_essential(trace: Trace, min_result: ProtocolResult,
     """MIN's misses equal (or, in the documented corner case, undercut)
 
     the Appendix A essential count; they can never exceed it."""
-    bd = DuboisClassifier.classify_trace(
-        trace, BlockMap(min_result.block_bytes))
+    bd = classify(trace, min_result.block_bytes)
     violations = []
     if min_result.misses > bd.essential:
         violations.append(

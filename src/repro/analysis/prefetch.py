@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..classify.breakdown import DuboisBreakdown
-from ..classify.dubois import DuboisClassifier
+from ..kernels.classifiers import KernelContext, dubois_kernel
 from ..mem.addresses import BlockMap, PAPER_BLOCK_SIZES
 from ..trace.trace import Trace
 from .report import format_table
@@ -94,9 +94,9 @@ def prefetch_analysis(trace: Trace,
                       ) -> PrefetchAnalysis:
     """Compute the three prefetching floors at each block size."""
     sizes = tuple(block_sizes or PAPER_BLOCK_SIZES)
-    floors = {}
-    for bb in sizes:
-        bd = DuboisClassifier.classify_trace(trace, BlockMap(bb))
-        floors[bb] = PrefetchFloors(block_bytes=bb, breakdown=bd)
+    ctx = KernelContext.from_trace(trace)
+    floors = {bb: PrefetchFloors(block_bytes=bb,
+                                 breakdown=dubois_kernel(ctx, BlockMap(bb)))
+              for bb in sizes}
     return PrefetchAnalysis(trace_name=trace.name or "<anonymous>",
                             floors=floors)

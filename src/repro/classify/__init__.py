@@ -5,13 +5,11 @@ prior schemes it is compared against (Eggers, Torrellas)."""
 from .breakdown import (
     DuboisBreakdown,
     MissClass,
-    MissRecord,
     SimpleBreakdown,
 )
 from .compare import ClassificationComparison, compare_classifications
 from .dubois import DuboisClassifier, classify
 from .eggers import EggersClassifier
-from .reference import ReferenceDuboisClassifier
 from .torrellas import TorrellasClassifier
 
 __all__ = [
@@ -20,8 +18,6 @@ __all__ = [
     "DuboisClassifier",
     "EggersClassifier",
     "MissClass",
-    "MissRecord",
-    "ReferenceDuboisClassifier",
     "SimpleBreakdown",
     "TorrellasClassifier",
     "classify",

@@ -38,23 +38,6 @@ class MissClass(Enum):
 
 
 @dataclass(frozen=True)
-class MissRecord:
-    """One classified miss (optional per-miss output of the classifiers)."""
-
-    proc: int
-    block: int
-    #: Index (into the data-event sequence) of the access that missed.
-    start: int
-    #: Index of the event that ended the lifetime (invalidating store or,
-    #: for lifetimes alive at the end, ``end == total_events``).
-    end: int
-    mclass: MissClass
-    #: Word address of the access that missed (-1 when not recorded);
-    #: used to attribute misses to data structures.
-    word: int = -1
-
-
-@dataclass(frozen=True)
 class DuboisBreakdown:
     """Five-way miss decomposition of our classification.
 

@@ -1,7 +1,7 @@
 """Three-way classifier comparison (paper section 3.3, Table 1).
 
-Runs our, Eggers' and Torrellas' classifiers over the same trace in one
-pass and packages the counts the paper's Table 1 reports: PTS/TSM, COLD and
+Runs our, Eggers' and Torrellas' classifiers over the same trace and
+packages the counts the paper's Table 1 reports: PTS/TSM, COLD and
 PFS/FSM for each scheme.
 """
 
@@ -10,12 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..mem.addresses import BlockMap
-from ..trace.events import LOAD, STORE
 from ..trace.trace import Trace
 from .breakdown import DuboisBreakdown, SimpleBreakdown
-from .dubois import DuboisClassifier
-from .eggers import EggersClassifier
-from .torrellas import TorrellasClassifier
 
 
 @dataclass(frozen=True)
@@ -80,37 +76,27 @@ class ClassificationComparison:
 def compare_classifications(trace: Trace, block_bytes: int) -> ClassificationComparison:
     """Classify ``trace`` with all three schemes at ``block_bytes``.
 
-    Single pass over the trace; all three classifiers see identical input,
-    so the total miss counts of ours and Eggers' agree exactly (both define
-    a miss block-wise) while Torrellas' total also agrees (same block-size
-    coherence simulation) — asserted by the integration tests.
+    The three vectorized kernels share one
+    :class:`~repro.kernels.classifiers.KernelContext`, so all three see
+    identical input: the total miss counts of ours and Eggers' agree
+    exactly (both define a miss block-wise) while Torrellas' total also
+    agrees (same block-size coherence simulation) — asserted by the
+    integration tests.
     """
+    # Deferred import: repro.kernels builds on repro.classify.
+    from ..kernels.classifiers import (
+        KernelContext,
+        dubois_kernel,
+        eggers_kernel,
+        torrellas_kernel,
+    )
+
+    ctx = KernelContext.from_trace(trace)
     block_map = BlockMap(block_bytes)
-    ours = DuboisClassifier(trace.num_procs, block_map)
-    eggers = EggersClassifier(trace.num_procs, block_map)
-    torrellas = TorrellasClassifier(trace.num_procs, block_map)
-    if trace.has_columns:
-        # Decode and prefilter once (vectorized); all three classifiers
-        # share the same data-only rows and precomputed block ids.
-        data = trace.columns().data_only()
-        procs, ops = data.proc.tolist(), data.op.tolist()
-        addrs = data.addr.tolist()
-        blocks = data.block_ids(block_map.offset_bits).tolist()
-        offsets = data.word_offsets(block_map.words_per_block).tolist()
-        ours.feed_data(procs, ops, addrs, blocks)
-        eggers.feed_data(procs, ops, addrs, blocks, [1 << o for o in offsets])
-        torrellas.feed_data(procs, ops, addrs, blocks)
-    else:
-        a1, a2, a3 = ours.access, eggers.access, torrellas.access
-        for proc, op, addr in trace.events:
-            if op == LOAD or op == STORE:
-                a1(proc, op, addr)
-                a2(proc, op, addr)
-                a3(proc, op, addr)
     return ClassificationComparison(
         trace_name=trace.name or "<anonymous>",
         block_bytes=block_bytes,
-        ours=ours.finish(),
-        eggers=eggers.finish(),
-        torrellas=torrellas.finish(),
+        ours=dubois_kernel(ctx, block_map),
+        eggers=eggers_kernel(ctx, block_map),
+        torrellas=torrellas_kernel(ctx, block_map),
     )

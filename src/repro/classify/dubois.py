@@ -1,8 +1,8 @@
 """The paper's essential/useless miss classification (Appendix A).
 
-This is the reference implementation of the core contribution: every miss of
-an infinite-cache write-invalidate execution is classified, *at the end of
-the lifetime it begins*, into
+This is the executable specification of the core contribution: every miss
+of an infinite-cache write-invalidate execution is classified, *at the end
+of the lifetime it begins*, into
 
 * **PC** — pure cold,
 * **CTS** — cold and true sharing,
@@ -10,14 +10,17 @@ the lifetime it begins*, into
 * **PTS** — pure true sharing (essential, not cold),
 * **PFS** — pure false sharing (useless).
 
-State (following Appendix A): per (block, processor) a Presence flag ``P``,
-an Essential-Miss flag ``EM`` and a First-Reference flag ``FR``; per (word,
-processor) a Communication flag ``C``.  We represent each per-processor flag
-family as an integer bitmask per block/word, which keeps the inner loop
-allocation-free.
+:class:`DuboisClassifier` is a direct, unoptimized Python rendering of the
+paper's Pascal-like pseudocode.  State (following Appendix A): per (block,
+processor) a Presence flag ``P``, an Essential-Miss flag ``EM`` and a
+First-Reference flag ``FR``; per (word, processor) a Communication flag
+``C``.  Each per-processor flag family is one dictionary of integer
+bitmasks keyed by block (or word) address, the block address is recomputed
+per access, and the C flags are cleared by looping over every word of the
+block, exactly as the pseudocode does.
 
-Two places in the paper's Pascal-like pseudocode contain obvious typos that
-we correct (both are forced by the prose definitions in section 2.0):
+Two places in the pseudocode contain obvious typos that we correct (both
+are forced by the prose definitions in section 2.0):
 
 * ``classify`` guards with ``(my_block or (i < proc_id))``; a *write* must
   end the lifetimes of all processors *other than the writer*, so the
@@ -29,86 +32,61 @@ we correct (both are forced by the prose definitions in section 2.0):
 Extension (paper section 2.0, "refine the definition of cold misses"): cold
 misses are split into PC/CTS/CFS by snapshotting, at lifetime start, whether
 the block had been modified since the start of the simulation.
+
+The class has two roles:
+
+* **Oracle.** The vectorized
+  :func:`~repro.kernels.classifiers.dubois_kernel` computes the same counts
+  from NumPy sorts and reductions; ``tests/test_kernels.py`` checks it
+  against this class on random traces and workload prefixes.
+* **Interpreted path.** ``--kernel interpreted`` feeds the sweep engine's
+  Dubois cells through :meth:`DuboisClassifier.access`.
+
+Every other consumer (:func:`classify`, the three-way comparison, the
+analyses) runs the kernel.
+
+Keep this module boring: clarity and line-by-line correspondence with the
+paper beat speed here.  Speed belongs in the kernel.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..errors import TraceError
 from ..mem.addresses import BlockMap
 from ..trace.events import LOAD, STORE
 from ..trace.trace import Trace
-from .breakdown import DuboisBreakdown, MissClass, MissRecord
-
-# Internal count indices (plain ints keep the hot loop off enum hashing);
-# positions match _MISS_CLASSES.
-_PC, _CTS, _CFS, _PTS, _PFS = range(5)
-_MISS_CLASSES = (MissClass.PC, MissClass.CTS, MissClass.CFS,
-                 MissClass.PTS, MissClass.PFS)
+from .breakdown import DuboisBreakdown, MissClass
 
 
 class DuboisClassifier:
-    """Streaming implementation of the Appendix A algorithm.
+    """Straight transliteration of Appendix A; see the module docstring.
 
     Feed data events with :meth:`access` (sync events may be passed to
     :meth:`event`; they are ignored), then call :meth:`finish` once.
-
-    Parameters
-    ----------
-    num_procs:
-        Processor count of the trace.
-    block_map:
-        The block-size configuration to classify under.
-    record_misses:
-        When true, per-miss :class:`MissRecord` objects are kept in
-        :attr:`misses` (costs memory; off by default).
     """
 
-    def __init__(self, num_procs: int, block_map: BlockMap,
-                 *, record_misses: bool = False):
+    def __init__(self, num_procs: int, block_map: BlockMap):
         if num_procs <= 0:
             raise TraceError(f"num_procs must be positive, got {num_procs}")
         self.num_procs = num_procs
         self.block_map = block_map
-        self.record_misses = record_misses
 
         self._all_mask = (1 << num_procs) - 1
-        # Per-block state list [P, EM, FR-done, dirty-at-fetch, modified,
-        # clear-seq-per-proc] (the first four are per-processor bitmasks) —
-        # one dict lookup per access instead of one per flag family.
-        #
-        # The C flags are *virtual*: per word we keep the last two stores by
-        # distinct processors as ``(top_proc, top_seq, second_seq)`` where
-        # ``second_seq`` is the newest store by any processor other than
-        # ``top_proc``; per (block, proc) we keep the sequence number of the
-        # processor's last essential access (slot 5 of the state list).  The
-        # C flag of word ``w`` for processor ``p`` is then set iff the
-        # newest store to ``w`` by a processor other than ``p`` is more
-        # recent than ``p``'s last delivery of the block — so setting,
-        # testing and block-wide clearing are all O(1), independent of the
-        # block size (a per-word clear loop dominates at large blocks).
-        self._state: Dict[int, list] = {}
-        self._comm: Dict[int, tuple] = {}
-        self._seq = 0
-        # Lifetime start index per (block, proc), only when recording.
-        self._lifetime_start: Dict[int, List[int]] = {}
+        # Bitmask state, keyed by block address (P/EM/FR/dirty-at-fetch)
+        # or word address (C).  Missing key == all zeros.
+        self._present: Dict[int, int] = {}
+        self._essential: Dict[int, int] = {}
+        self._first_ref_done: Dict[int, int] = {}
+        self._dirty_at_fetch: Dict[int, int] = {}
+        self._comm: Dict[int, int] = {}
+        self._modified: Dict[int, bool] = {}
 
-        self._counts = [0, 0, 0, 0, 0]  # indexed _PC.._PFS
+        self._counts = {MissClass.PC: 0, MissClass.CTS: 0, MissClass.CFS: 0,
+                        MissClass.PTS: 0, MissClass.PFS: 0}
         self._data_refs = 0
         self._finished = False
-        #: Per-miss records (populated only when ``record_misses``).
-        self.misses: List[MissRecord] = []
-
-    @property
-    def data_refs(self) -> int:
-        """Data references (loads + stores) consumed so far.
-
-        Public accessor for consumers that adjust the reference count,
-        e.g. the sweep engine's no-op read elision, which re-adds elided
-        rows so rates stay comparable.
-        """
-        return self._data_refs
 
     # ------------------------------------------------------------------
     # event feeding
@@ -117,15 +95,12 @@ class DuboisClassifier:
         """Process one data reference (``op`` is LOAD or STORE)."""
         if self._finished:
             raise TraceError("classifier already finished")
-        block = self.block_map.block_of(word_addr)
         if op == LOAD:
             self._data_refs += 1
-            self._seq += 1
-            self._read_action(proc, word_addr, block)
+            self._read_action(proc, word_addr)
         elif op == STORE:
             self._data_refs += 1
-            self._seq += 1
-            self._write_action(proc, word_addr, block)
+            self._write_action(proc, word_addr)
         else:
             raise TraceError(f"access expects LOAD/STORE, got op {op}")
 
@@ -134,131 +109,55 @@ class DuboisClassifier:
         if op == LOAD or op == STORE:
             self.access(proc, op, addr)
 
-    def feed_data(self, procs, ops, addrs, blocks) -> None:
-        """Fast path: consume pre-decoded, pre-filtered data references.
-
-        All four arguments are equal-length sequences of plain ints holding
-        **only LOAD/STORE rows** (the vectorized data-op prefilter of
-        :class:`~repro.trace.columnar.TraceColumns`), with ``blocks`` the
-        precomputed block address of each access (``addr >> shift`` done
-        once, vectorized, instead of per event here).
-        """
-        if self._finished:
-            raise TraceError("classifier already finished")
-        if self.record_misses:
-            # Recording needs _data_refs exact at every action (miss records
-            # index into it), so take the plain per-event path.
-            for proc, op, addr, block in zip(procs, ops, addrs, blocks):
-                self._data_refs += 1
-                self._seq += 1
-                if op == STORE:
-                    self._write_action(proc, addr, block)
-                else:
-                    self._read_action(proc, addr, block)
-            return
-        read, write = self._read_action, self._write_action
-        classify = self._classify_mask
-        state, comm = self._state, self._comm
-        base = self._data_refs
-        seq = self._seq
-        n = 0
-        for proc, op, addr, block in zip(procs, ops, addrs, blocks):
-            n += 1
-            seq += 1
-            bit = 1 << proc
-            st = state.get(block)
-            if op == STORE:
-                if st is not None and st[0] & bit:
-                    e = comm.get(addr)
-                    if (e is None
-                            or (e[1] if e[0] != proc else e[2]) <= st[5][proc]):
-                        # The access part of the store is a no-op (hit, no
-                        # pending communication): invalidate + flag inline.
-                        others = st[0] & ~bit
-                        if others:
-                            classify(block, st, others)
-                            st[0] = bit
-                        if e is None:
-                            comm[addr] = (proc, seq, 0)
-                        elif e[0] != proc:
-                            comm[addr] = (proc, seq, e[1])
-                        else:
-                            comm[addr] = (proc, seq, e[2])
-                        st[4] = True
-                        continue
-                self._seq = seq
-                write(proc, addr, block)
-            else:
-                if st is not None and st[0] & bit:
-                    e = comm.get(addr)
-                    if (e is None
-                            or (e[1] if e[0] != proc else e[2]) <= st[5][proc]):
-                        # Hit with no pending communication: _read_action
-                        # would be a no-op, so skip it (the dominant case).
-                        continue
-                self._seq = seq
-                read(proc, addr, block)
-        self._data_refs = base + n
-        self._seq = seq
-
     # ------------------------------------------------------------------
     # Appendix A actions
     # ------------------------------------------------------------------
-    def _read_action(self, proc: int, word_addr: int, block: int) -> None:
+    def _read_action(self, proc: int, word_addr: int) -> None:
+        block = self.block_map.block_of(word_addr)
         bit = 1 << proc
-        st = self._state.get(block)
-        if st is None:
-            st = self._state[block] = [0, 0, 0, 0, False,
-                                       [0] * self.num_procs]
-        if not st[0] & bit:
+        present = self._present.get(block, 0)
+        if not present & bit:
             # Miss: a new lifetime starts here.
-            st[0] |= bit
-            st[1] &= ~bit
-            if st[4]:
-                st[3] |= bit
+            self._present[block] = present | bit
+            self._essential[block] = self._essential.get(block, 0) & ~bit
+            if self._modified.get(block, False):
+                self._dirty_at_fetch[block] = \
+                    self._dirty_at_fetch.get(block, 0) | bit
             else:
-                st[3] &= ~bit
-            if self.record_misses:
-                self._lifetime_start.setdefault(
-                    block, [(0, -1)] * self.num_procs)[proc] \
-                    = (self._data_refs - 1, word_addr)
-        e = self._comm.get(word_addr)
-        if (e is not None
-                and (e[1] if e[0] != proc else e[2]) > st[5][proc]):
+                self._dirty_at_fetch[block] = \
+                    self._dirty_at_fetch.get(block, 0) & ~bit
+        if self._comm.get(word_addr, 0) & bit:
             # The access touches a value defined by another processor since
             # this processor's last essential miss: the lifetime's miss is
             # essential, and all pending communicated values of the block
-            # are considered delivered (advancing the clear sequence clears
-            # the virtual C flags of every word of the block for ``proc``).
-            st[1] |= bit
-            st[5][proc] = self._seq
+            # are considered delivered (clear C for every word).
+            self._essential[block] = self._essential.get(block, 0) | bit
+            nbit = ~bit
+            for w in self.block_map.words_of(block):
+                cw = self._comm.get(w, 0)
+                if cw & bit:
+                    self._comm[w] = cw & nbit
 
-    def _write_action(self, proc: int, word_addr: int, block: int) -> None:
+    def _write_action(self, proc: int, word_addr: int) -> None:
         # A store is also an access (may start a lifetime / detect sharing).
-        self._read_action(proc, word_addr, block)
+        self._read_action(proc, word_addr)
+        block = self.block_map.block_of(word_addr)
         bit = 1 << proc
-        st = self._state[block]  # always present after the read action
         # The store invalidates every other copy: classify those lifetimes.
-        others = st[0] & ~bit
+        others = self._present.get(block, 0) & ~bit
         if others:
-            self._classify_mask(block, st, others)
-            st[0] = bit
-        # Flag the new value for all other processors: record this store as
-        # the word's newest, demoting the previous newest-by-another-proc.
-        e = self._comm.get(word_addr)
-        if e is None:
-            self._comm[word_addr] = (proc, self._seq, 0)
-        elif e[0] != proc:
-            self._comm[word_addr] = (proc, self._seq, e[1])
-        else:
-            self._comm[word_addr] = (proc, self._seq, e[2])
-        st[4] = True
+            self._classify_mask(block, others)
+            self._present[block] = bit
+        # Flag the new value for all other processors.
+        self._comm[word_addr] = \
+            self._comm.get(word_addr, 0) | (self._all_mask & ~bit)
+        self._modified[block] = True
 
-    def _classify_mask(self, block: int, st: list, mask: int) -> None:
+    def _classify_mask(self, block: int, mask: int) -> None:
         """Classify (and end) the lifetimes of every processor in ``mask``."""
-        first_done = st[2]
-        essential = st[1]
-        dirty = st[3]
+        first_done = self._first_ref_done.get(block, 0)
+        essential = self._essential.get(block, 0)
+        dirty = self._dirty_at_fetch.get(block, 0)
         counts = self._counts
         m = mask
         while m:
@@ -269,25 +168,17 @@ class DuboisClassifier:
                 # refined by whether it communicated (EM) or fetched a
                 # modified-but-unused block (dirty at fetch).
                 if essential & low:
-                    mclass = _CTS
+                    mclass = MissClass.CTS
                 elif dirty & low:
-                    mclass = _CFS
+                    mclass = MissClass.CFS
                 else:
-                    mclass = _PC
+                    mclass = MissClass.PC
             elif essential & low:
-                mclass = _PTS
+                mclass = MissClass.PTS
             else:
-                mclass = _PFS
+                mclass = MissClass.PFS
             counts[mclass] += 1
-            if self.record_misses:
-                proc = low.bit_length() - 1
-                start, word = self._lifetime_start.get(
-                    block, [(0, -1)] * self.num_procs)[proc]
-                self.misses.append(MissRecord(proc=proc, block=block,
-                                              start=start, end=self._data_refs,
-                                              mclass=_MISS_CLASSES[mclass],
-                                              word=word))
-        st[2] = first_done | mask
+        self._first_ref_done[block] = first_done | mask
 
     # ------------------------------------------------------------------
     # finishing
@@ -297,45 +188,34 @@ class DuboisClassifier:
         if self._finished:
             raise TraceError("classifier already finished")
         self._finished = True
-        for block, st in self._state.items():
-            if st[0]:
-                self._classify_mask(block, st, st[0])
-                st[0] = 0
+        for block, present in self._present.items():
+            if present:
+                self._classify_mask(block, present)
+                self._present[block] = 0
         c = self._counts
-        return DuboisBreakdown(pc=c[_PC], cts=c[_CTS], cfs=c[_CFS],
-                               pts=c[_PTS], pfs=c[_PFS],
+        return DuboisBreakdown(pc=c[MissClass.PC], cts=c[MissClass.CTS],
+                               cfs=c[MissClass.CFS], pts=c[MissClass.PTS],
+                               pfs=c[MissClass.PFS],
                                data_refs=self._data_refs)
 
     # ------------------------------------------------------------------
     # one-shot driver
     # ------------------------------------------------------------------
     @classmethod
-    def classify_trace(cls, trace: Trace, block_map: BlockMap,
-                       *, record_misses: bool = False,
-                       out_records: Optional[list] = None) -> DuboisBreakdown:
-        """Classify a whole trace at one block size.
-
-        ``out_records`` (a list), when given together with
-        ``record_misses=True``, receives the per-miss records.
-        """
-        clf = cls(trace.num_procs, block_map, record_misses=record_misses)
-        if trace.has_columns:
-            # Columnar trace: vectorized data-op prefilter + block ids.
-            data = trace.columns().data_only()
-            clf.feed_data(data.proc.tolist(), data.op.tolist(),
-                          data.addr.tolist(),
-                          data.block_ids(block_map.offset_bits).tolist())
-        else:
-            access = clf.access
-            for proc, op, addr in trace.events:
-                if op == LOAD or op == STORE:
-                    access(proc, op, addr)
-        breakdown = clf.finish()
-        if out_records is not None:
-            out_records.extend(clf.misses)
-        return breakdown
+    def classify_trace(cls, trace: Trace,
+                       block_map: BlockMap) -> DuboisBreakdown:
+        """Classify a whole trace at one block size (streaming tuple path)."""
+        clf = cls(trace.num_procs, block_map)
+        access = clf.access
+        for proc, op, addr in trace.events:
+            if op == LOAD or op == STORE:
+                access(proc, op, addr)
+        return clf.finish()
 
 
-def classify(trace: Trace, block_bytes: int, **kwargs) -> DuboisBreakdown:
-    """Convenience wrapper: classify ``trace`` at ``block_bytes``."""
-    return DuboisClassifier.classify_trace(trace, BlockMap(block_bytes), **kwargs)
+def classify(trace: Trace, block_bytes: int) -> DuboisBreakdown:
+    """Classify ``trace`` at ``block_bytes`` with the vectorized kernel."""
+    # Deferred import: repro.kernels builds on repro.classify.
+    from ..kernels.classifiers import KernelContext, dubois_kernel
+
+    return dubois_kernel(KernelContext.from_trace(trace), BlockMap(block_bytes))

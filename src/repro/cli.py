@@ -48,7 +48,7 @@ from .errors import (
     SweepInterrupted,
 )
 from .runtime.signals import graceful_shutdown
-from .protocols.runner import protocol_names, run_protocol, run_protocols
+from .protocols.runner import protocol_names, run_protocols
 from .trace import io as trace_io
 from .trace.cache import WorkloadTraceCache, default_cache_dir
 from .trace.trace import Trace
@@ -66,11 +66,7 @@ def _trace_cache(args) -> "WorkloadTraceCache | None":
 
 
 def _engine_options(args):
-    """Build :class:`ExecutionOptions` from the resilience flags.
-
-    Returns ``None`` when every flag is at its default, so commands run
-    exactly as before unless resilience features are requested.
-    """
+    """Build :class:`ExecutionOptions` from the engine flags."""
     from .analysis.engine import ExecutionOptions
     from .runtime.retry import RetryPolicy
 
@@ -83,10 +79,6 @@ def _engine_options(args):
     telemetry = getattr(args, "telemetry", None)
     kernel = getattr(args, "kernel", "auto")
     hosts = getattr(args, "hosts", None)
-    if (retries is None and timeout is None and resume is None
-            and not strict and shards is None and memory_budget is None
-            and telemetry is None and kernel == "auto" and hosts is None):
-        return None
     retry = RetryPolicy.from_retries(retries) if retries is not None else None
     return ExecutionOptions(retry=retry, timeout=timeout,
                             checkpoint_dir=resume, strict_invariants=strict,
@@ -119,10 +111,10 @@ def _suite_traces(which: str, cache: "WorkloadTraceCache | None"):
 
 
 def _cmd_classify(args) -> int:
-    from .analysis.engine import ExecutionOptions, SweepEngine
+    from .analysis.engine import SweepEngine
 
     trace = _load_trace(args.trace, _trace_cache(args))
-    options = _engine_options(args) or ExecutionOptions()
+    options = _engine_options(args)
     engine = SweepEngine(trace, jobs=args.jobs, **options.engine_kwargs())
     (breakdown,) = engine.run_grid([("classify", args.block,
                                      args.classifier)])
@@ -131,10 +123,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .analysis.engine import ExecutionOptions, SweepEngine
+    from .analysis.engine import SweepEngine
 
     trace = _load_trace(args.trace, _trace_cache(args))
-    options = _engine_options(args) or ExecutionOptions()
+    options = _engine_options(args)
     engine = SweepEngine(trace, jobs=args.jobs, **options.engine_kwargs())
     (cmp,) = engine.run_grid([("compare", args.block, None)])
     print(f"{trace.name} @ B={args.block}")
@@ -160,10 +152,10 @@ def _cmd_simulate(args) -> int:
             raise ReproError(
                 "finite caches simulate the OTF protocol; drop "
                 "--protocol or pass --protocol OTF")
-        from .analysis.engine import ExecutionOptions, SweepEngine
+        from .analysis.engine import SweepEngine
         from .protocols.finite import finite_spec
 
-        options = _engine_options(args) or ExecutionOptions()
+        options = _engine_options(args)
         engine = SweepEngine(trace, jobs=args.jobs,
                              **options.engine_kwargs())
         cell = ("finite", args.block,
@@ -350,8 +342,11 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
                    help="cache generated workload traces as .npz under DIR "
                         f"(no DIR: {default_cache_dir()})")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-cell wall-clock timeout; a hung cell's worker "
-                        "is killed and the cell retried (default: none)")
+                   help="per-cell stall timeout: a cell whose worker "
+                        "reports no progress for SECONDS is presumed hung, "
+                        "its worker killed and the cell retried; slow "
+                        "cells that keep progressing are never killed "
+                        "(default: none)")
     p.add_argument("--retries", type=int, default=None, metavar="N",
                    help="retries per failed/hung grid cell before the "
                         "serial in-process fallback (default: 2)")
@@ -396,10 +391,10 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
                         "kernels where available (classifiers and the "
                         "infinite-cache OTF protocol; bit-identical to "
                         "the streaming oracles), the interpreted "
-                        "per-event oracles everywhere, or auto "
-                        "(vectorized when NumPy is importable; the "
-                        "default).  Checkpoint journals record the "
-                        "choice, so --resume never mixes paths")
+                        "per-event oracles everywhere, or auto (the "
+                        "default; same as vectorized).  Checkpoint "
+                        "journals record the choice, so --resume never "
+                        "mixes paths")
     p.add_argument("--hosts", default=None, metavar="H1:P,H2:P",
                    help="remote worker runners joining the sweep (each a "
                         "'python -m repro.runtime.remote_worker' process); "

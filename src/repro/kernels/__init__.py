@@ -4,63 +4,48 @@ A *kernel* computes one grid cell's counters as NumPy reductions over
 columnar rows instead of a per-event Python loop (10×+ single-core on
 the cells that have one; see BENCH_throughput.json).  The streaming
 implementations stay authoritative: they are the differential-test
-oracle — exactly the role ``ReferenceDuboisClassifier`` plays for the
-optimized Dubois classifier — and the execution path for every cell
-without a kernel.
+oracle (for Dubois, the Appendix A transliteration
+:class:`~repro.classify.dubois.DuboisClassifier`) and the execution
+path for every cell without a kernel.
 
 Resolution contract (``--kernel {auto,vectorized,interpreted}``):
 
 * ``interpreted`` — every cell runs the streaming oracle;
-* ``vectorized`` — cells with a kernel run it, the rest *fall back* to
-  the oracle (finite caches and the delayed protocols have inherently
-  sequential state); requires NumPy;
-* ``auto`` (default) — ``vectorized`` when NumPy is importable, else
-  ``interpreted``.
+* ``vectorized`` / ``auto`` (default) — cells with a kernel run it, the
+  rest *fall back* to the oracle (finite caches and the delayed
+  protocols have inherently sequential state).
 
-Checkpoint journals bind the *effective* mode — ``auto`` resolved
-against NumPy availability via :func:`effective_kernel_mode` (see
-:func:`repro.runtime.checkpoint.journal_digest`) — so ``--resume`` can
-never mix results computed under different execution paths, even when
-both runs said ``auto``.
+Checkpoint journals bind the *effective* mode (``auto`` resolves to
+``vectorized``; see :func:`effective_kernel_mode` and
+:func:`repro.runtime.checkpoint.journal_digest`), so ``--resume`` can
+never mix results computed under different execution paths.
 """
 
 from __future__ import annotations
 
 from ..errors import ConfigError
+from .classifiers import (
+    KernelContext,
+    dubois_kernel,
+    eggers_kernel,
+    torrellas_kernel,
+)
+from .protocols import otf_kernel
 
-__all__ = ["KERNEL_MODES", "VECTORIZED_AVAILABLE", "CLASSIFIER_KERNELS",
-           "PROTOCOL_KERNELS", "KernelContext", "validate_kernel_mode",
-           "has_kernel", "resolve_kernel", "effective_kernel_mode"]
+__all__ = ["KERNEL_MODES", "CLASSIFIER_KERNELS", "PROTOCOL_KERNELS",
+           "KernelContext", "validate_kernel_mode", "has_kernel",
+           "resolve_kernel", "effective_kernel_mode"]
 
 #: Legal ``--kernel`` settings.
 KERNEL_MODES = ("auto", "vectorized", "interpreted")
 
-try:
-    import numpy as _np  # noqa: F401
-    VECTORIZED_AVAILABLE = True
-except ImportError:  # pragma: no cover - the tree is tested with numpy
-    VECTORIZED_AVAILABLE = False
-
-if VECTORIZED_AVAILABLE:
-    from .classifiers import (
-        KernelContext,
-        dubois_kernel,
-        eggers_kernel,
-        torrellas_kernel,
-    )
-    from .protocols import otf_kernel
-
-    #: ``{classifier name: kernel}`` for classify cells (compare cells
-    #: use all three).
-    CLASSIFIER_KERNELS = {"dubois": dubois_kernel,
-                          "eggers": eggers_kernel,
-                          "torrellas": torrellas_kernel}
-    #: ``{protocol name: kernel}`` for protocol cells.
-    PROTOCOL_KERNELS = {"OTF": otf_kernel}
-else:  # pragma: no cover
-    KernelContext = None
-    CLASSIFIER_KERNELS = {}
-    PROTOCOL_KERNELS = {}
+#: ``{classifier name: kernel}`` for classify cells (compare cells use
+#: all three).
+CLASSIFIER_KERNELS = {"dubois": dubois_kernel,
+                      "eggers": eggers_kernel,
+                      "torrellas": torrellas_kernel}
+#: ``{protocol name: kernel}`` for protocol cells.
+PROTOCOL_KERNELS = {"OTF": otf_kernel}
 
 
 def validate_kernel_mode(mode: str) -> str:
@@ -68,24 +53,17 @@ def validate_kernel_mode(mode: str) -> str:
     if mode not in KERNEL_MODES:
         raise ConfigError(
             f"unknown kernel mode {mode!r}; known: {list(KERNEL_MODES)}")
-    if mode == "vectorized" and not VECTORIZED_AVAILABLE:
-        raise ConfigError(
-            "--kernel vectorized requires NumPy, which is not importable; "
-            "use --kernel interpreted (or auto)")
     return mode
 
 
 def effective_kernel_mode(mode: str) -> str:
-    """Resolve ``auto`` to the execution-path family this process takes.
+    """Resolve ``auto`` to the execution-path family it takes.
 
-    Returns ``"vectorized"`` or ``"interpreted"`` — the string checkpoint
-    journals bind, so two ``auto`` runs on machines that resolve
-    differently can never share a journal.
+    Returns ``"interpreted"`` for ``interpreted`` and ``"vectorized"``
+    otherwise — the string checkpoint journals bind.
     """
     validate_kernel_mode(mode)
-    if mode == "interpreted" or not VECTORIZED_AVAILABLE:
-        return "interpreted"
-    return "vectorized"
+    return "interpreted" if mode == "interpreted" else "vectorized"
 
 
 def has_kernel(kind: str, which) -> bool:
@@ -99,7 +77,7 @@ def has_kernel(kind: str, which) -> bool:
     if kind == "classify":
         return which in CLASSIFIER_KERNELS
     if kind == "compare":
-        return bool(CLASSIFIER_KERNELS)
+        return True
     if kind == "protocol":
         return which in PROTOCOL_KERNELS
     return False
@@ -109,11 +87,8 @@ def resolve_kernel(mode: str, kind: str, which) -> str:
     """The execution path one cell takes under a kernel mode.
 
     Returns ``"vectorized"`` or ``"interpreted"``.  Both ``auto`` and
-    ``vectorized`` fall back to the oracle for cells without a kernel;
-    they differ only in that ``vectorized`` refuses to run without NumPy
-    while ``auto`` degrades silently.
+    ``vectorized`` fall back to the oracle for cells without a kernel.
     """
-    validate_kernel_mode(mode)
-    if mode == "interpreted" or not VECTORIZED_AVAILABLE:
+    if effective_kernel_mode(mode) == "interpreted":
         return "interpreted"
     return "vectorized" if has_kernel(kind, which) else "interpreted"

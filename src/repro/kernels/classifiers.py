@@ -45,7 +45,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..classify.breakdown import DuboisBreakdown, SimpleBreakdown
+from ..classify.breakdown import DuboisBreakdown, MissClass, SimpleBreakdown
 from ..runtime import signals
 from ..trace.events import STORE
 from .segments import (
@@ -59,8 +59,8 @@ from .segments import (
     unit_store_summary,
 )
 
-__all__ = ["KernelContext", "dubois_kernel", "eggers_kernel",
-           "torrellas_kernel"]
+__all__ = ["DUBOIS_CLASSES", "KernelContext", "dubois_kernel",
+           "dubois_lifetime_classes", "eggers_kernel", "torrellas_kernel"]
 
 
 class _Heartbeat:
@@ -158,6 +158,11 @@ class KernelContext:
     def from_columns(cls, data, num_procs: int) -> "KernelContext":
         """Build from a data-only :class:`~repro.trace.columnar.TraceColumns`."""
         return cls(data.proc, data.op, data.addr, num_procs)
+
+    @classmethod
+    def from_trace(cls, trace) -> "KernelContext":
+        """Build over a whole trace's data rows (sync rows dropped)."""
+        return cls.from_columns(trace.columns().data_only(), trace.num_procs)
 
     # -- word-granularity state (block-size independent) ----------------
     def store_rows(self) -> np.ndarray:
@@ -455,18 +460,38 @@ def _essential_chain(life_group: np.ndarray, maxr: np.ndarray,
     return ess
 
 
+#: Miss class of each code :func:`dubois_lifetime_classes` returns.
+DUBOIS_CLASSES = (MissClass.PC, MissClass.CTS, MissClass.CFS,
+                  MissClass.PTS, MissClass.PFS)
+
+
+def dubois_lifetime_classes(ctx: KernelContext, block_map):
+    """Every miss of the batch with its Dubois class.
+
+    Returns ``(fetch_row, code)`` — one entry per miss, in (block,
+    processor, time) order: the row whose access missed and the index of
+    its class in :data:`DUBOIS_CLASSES`.
+    """
+    hb = _Heartbeat(ctx.n)
+    view = ctx.block_view(block_map.offset_bits)
+    fetch, cold, dirty, ess = view.lifetimes(hb)
+    code = np.where(cold, np.where(ess, 1, np.where(dirty, 2, 0)),
+                    np.where(ess, 3, 4))
+    hb.finish()
+    return fetch, code
+
+
 def dubois_kernel(ctx: KernelContext, block_map,
                   stats: Optional[Dict] = None) -> DuboisBreakdown:
     """Dubois et al.'s five-way classification, vectorized.
 
     Bit-identical to feeding the batch's rows through
-    :class:`~repro.classify.dubois.DuboisClassifier` (``data_refs`` is
-    the batch's row count; callers composing with the no-op read elision
-    re-add their dropped rows, exactly like the interpreted path).
+    :class:`~repro.classify.dubois.DuboisClassifier`, the Appendix A
+    transliteration (``data_refs`` is the batch's row count).
     """
     hb = _Heartbeat(ctx.n, stats)
     view = ctx.block_view(block_map.offset_bits)
-    fetch, cold, dirty, ess = view.lifetimes(hb)
+    _, cold, dirty, ess = view.lifetimes(hb)
     ncold = ~cold
     ness = ~ess
     result = DuboisBreakdown(

@@ -23,9 +23,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import ReproError
 from .logsetup import library_logger
-from .manifest import load_manifest
+from .manifest import load_run
 from .report import _fmt_cell, _fmt_num, _table
-from .tracing import single_run_dir
 
 #: Bump on any backwards-incompatible entry shape change.
 HISTORY_VERSION = 1
@@ -81,9 +80,7 @@ def append_history(path: str, entry: dict) -> None:
 def record_run(run_path: str, history_path: str,
                *, label: Optional[str] = None) -> dict:
     """Record one run directory into the history file; returns the entry."""
-    manifest = load_manifest(single_run_dir(run_path))
-    assert manifest is not None
-    entry = record_entry(manifest, label=label)
+    entry = record_entry(load_run(run_path), label=label)
     append_history(history_path, entry)
     return entry
 

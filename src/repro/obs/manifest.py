@@ -558,3 +558,31 @@ def find_runs(directory: str) -> List[str]:
         if os.path.exists(os.path.join(path, MANIFEST_NAME)):
             runs.append(path)
     return runs
+
+
+def single_run_dir(path: str) -> str:
+    """Resolve ``path`` to exactly one run directory.
+
+    Accepts a run directory itself or a ``--telemetry`` directory that
+    contains exactly one run; several runs is an error naming them, so
+    the caller picks.
+    """
+    path = os.path.expanduser(path)
+    if os.path.exists(os.path.join(path, MANIFEST_NAME)) or \
+            os.path.exists(os.path.join(path, EVENTS_NAME)):
+        return path
+    runs = find_runs(path)
+    if len(runs) == 1:
+        return runs[0]
+    if not runs:
+        raise ReproError(f"no recorded runs under {path!r}")
+    names = ", ".join(os.path.basename(r) for r in runs)
+    raise ReproError(
+        f"{path!r} holds {len(runs)} runs ({names}); pass one run "
+        f"directory")
+
+
+def load_run(path: str) -> dict:
+    """The manifest of one run: ``path`` is its run directory or a
+    ``--telemetry`` directory holding exactly one run."""
+    return load_manifest(single_run_dir(path))

@@ -34,7 +34,7 @@ import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
-from .manifest import EVENTS_NAME, MANIFEST_NAME, find_runs, load_manifest
+from .manifest import EVENTS_NAME, load_run, single_run_dir
 from .report import _fmt_cell, _fmt_num, _table
 from .schema import iter_records
 
@@ -290,28 +290,6 @@ def _node_dict(node: SpanNode) -> dict:
     }
 
 
-def single_run_dir(path: str) -> str:
-    """Resolve ``path`` to exactly one run directory.
-
-    Accepts a run directory itself or a ``--telemetry`` directory that
-    contains exactly one run; several runs is an error naming them, so
-    the caller picks.
-    """
-    path = os.path.expanduser(path)
-    if os.path.exists(os.path.join(path, MANIFEST_NAME)) or \
-            os.path.exists(os.path.join(path, EVENTS_NAME)):
-        return path
-    runs = find_runs(path)
-    if len(runs) == 1:
-        return runs[0]
-    if not runs:
-        raise ReproError(f"no recorded runs under {path!r}")
-    names = ", ".join(os.path.basename(r) for r in runs)
-    raise ReproError(
-        f"{path!r} holds {len(runs)} runs ({names}); pass one run "
-        f"directory")
-
-
 def trace_summary(path: str, *, top: int = 10) -> dict:
     """``repro trace`` as data: tree, critical path, contributors."""
     run_dir = single_run_dir(path)
@@ -415,9 +393,7 @@ def _load_run_manifest(path: str) -> dict:
         if isinstance(data, dict) and "cells" in data:
             return data
         raise ReproError(f"{path!r} is not a manifest or report JSON")
-    manifest = load_manifest(single_run_dir(path))
-    assert manifest is not None
-    return manifest
+    return load_run(path)
 
 
 def _cell_key(entry: dict) -> Tuple:

@@ -23,8 +23,10 @@ Stores performed *after* the fetch do not make the current lifetime
 essential — their values are not in the cached copy — which is exactly the
 distinction Appendix A never needs (under OTF such stores end the lifetime)
 but delayed schedules do.  For an OTF schedule this tracker provably
-produces the same counts as :class:`~repro.classify.dubois.DuboisClassifier`
-(asserted by the integration tests).
+produces the same counts as the Appendix A transliteration
+:class:`~repro.classify.dubois.DuboisClassifier` and its vectorized
+counterpart :func:`~repro.kernels.classifiers.dubois_kernel` (asserted by
+the integration tests).
 """
 
 from __future__ import annotations

@@ -63,22 +63,14 @@ def run_protocols(trace: Trace, block_bytes: int,
     ``{name: result}`` in the given order — the data behind one
     benchmark's group of bars in the paper's Figure 6.
 
-    All protocols share the trace's decoded event list (it is materialized
-    at most once), and ``jobs > 1`` fans the protocols out over supervised
-    worker processes via the sweep engine.  ``options`` (an
-    :class:`repro.analysis.engine.ExecutionOptions`) routes execution
-    through the engine even at ``jobs=1`` so retries/checkpointing apply.
+    The protocols run as one :class:`~repro.analysis.engine.SweepEngine`
+    grid over the shared trace: ``jobs > 1`` fans them out over
+    supervised worker processes, and ``options`` (an
+    :class:`repro.analysis.engine.ExecutionOptions`) threads the engine's
+    retry/checkpoint/kernel knobs through.
     """
-    chosen = list(names) if names is not None else list(ALL_PROTOCOLS)
-    if jobs != 1 or options is not None:
-        # Deferred import: repro.analysis builds on repro.protocols.
-        from ..analysis.engine import SweepEngine
-
-        kwargs = options.engine_kwargs() if options is not None else {}
-        grid = SweepEngine(trace, jobs=jobs,
-                           **kwargs).protocol_grid((block_bytes,), chosen)
-        return {name: grid[(block_bytes, name)] for name in chosen}
-    return {name: run_protocol(name, trace, block_bytes) for name in chosen}
+    return {name: result for (_, name), result in run_protocol_grid(
+        trace, (block_bytes,), names, jobs=jobs, options=options).items()}
 
 
 def run_protocol_grid(trace: Trace, block_sizes: Iterable[int],

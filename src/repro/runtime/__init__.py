@@ -4,7 +4,7 @@ The paper's headline experiments are long grid sweeps; this package makes
 them survive partial failure:
 
 * :class:`~repro.runtime.supervisor.Supervisor` — supervised fork workers
-  with per-cell tracking, crash detection, wall-clock timeouts, retries
+  with per-cell tracking, crash detection, stall timeouts, retries
   and graceful degradation to serial execution;
 * :class:`~repro.runtime.retry.RetryPolicy` — capped exponential backoff;
 * :class:`~repro.runtime.checkpoint.CheckpointJournal` — durable JSONL

@@ -1,15 +1,20 @@
 """Unit tests for per-data-structure miss attribution."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.analysis.attribution import (
     RegionTable,
     UNMAPPED,
     attribute_misses,
 )
-from repro.classify import classify
+from repro.classify import DuboisClassifier, MissClass, classify
 from repro.errors import ConfigError
+from repro.mem import BlockMap
 from repro.trace import TraceBuilder
+from repro.trace.events import LOAD, STORE
+from repro.trace.trace import Trace
 
 
 class TestRegionTable:
@@ -89,3 +94,62 @@ class TestAttribution:
         t = TraceBuilder(1).load(0, 999).build()
         result = attribute_misses(t, 8, regions=[("a", 0, 4)])
         assert result.by_region[UNMAPPED].pc == 1
+
+
+
+class _ClassificationLog(DuboisClassifier):
+    """The transliteration, logging ``(missed word, class)`` for each miss
+    in the order it classifies them (at the end of each lifetime)."""
+
+    def __init__(self, num_procs, block_map):
+        super().__init__(num_procs, block_map)
+        self.start_word = {}
+        self.log = []
+
+    def _read_action(self, proc, word_addr):
+        block = self.block_map.block_of(word_addr)
+        if not self._present.get(block, 0) & (1 << proc):
+            self.start_word[(block, proc)] = word_addr
+        super()._read_action(proc, word_addr)
+
+    def _classify_mask(self, block, mask):
+        m = mask
+        while m:  # one processor at a time, in the same (bit) order
+            low = m & -m
+            m ^= low
+            before = dict(self._counts)
+            super()._classify_mask(block, low)
+            (mclass,) = [c for c in before if self._counts[c] != before[c]]
+            word = self.start_word[(block, low.bit_length() - 1)]
+            self.log.append((word, mclass))
+
+
+@st.composite
+def word_traces(draw):
+    nproc = draw(st.integers(1, 4))
+    events = [(draw(st.integers(0, nproc - 1)),
+               draw(st.sampled_from((LOAD, STORE))),
+               draw(st.integers(0, 15)))
+              for _ in range(draw(st.integers(1, 60)))]
+    return Trace(events, nproc, validate=False)
+
+
+@given(word_traces(), st.sampled_from((4, 8, 16, 64)))
+@settings(max_examples=100, deadline=None)
+def test_regions_match_transliteration_in_classification_order(trace, bb):
+    """One region per word: each region's counts and the region order
+    (by first classified miss) match the transliteration's miss stream."""
+    log = _ClassificationLog(trace.num_procs, BlockMap(bb))
+    for proc, op, addr in trace.events:
+        log.access(proc, op, addr)
+    log.finish()
+    expected = {}
+    for word, mclass in log.log:
+        per = expected.setdefault(f"w{word}", dict.fromkeys(MissClass, 0))
+        per[mclass] += 1
+    result = attribute_misses(trace, bb, [(f"w{w}", w, 1) for w in range(16)])
+    assert list(result.by_region) == list(expected)
+    for name, bd in result.by_region.items():
+        assert [bd.pc, bd.cts, bd.cfs, bd.pts, bd.pfs] == \
+            list(expected[name].values()), name
+        assert bd.data_refs == len(trace)

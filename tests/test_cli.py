@@ -43,6 +43,14 @@ class TestParser:
             "attribute", "traffic", "prefetch", "report",
             "trace", "diff", "history"}
 
+    def test_timeout_help_describes_a_stall_timeout(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fig6", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--timeout SECONDS" in help_text
+        assert "stall" in help_text
+        assert "wall-clock" not in help_text
+
 
 class TestCommands:
     def test_classify_file(self, trace_file, capsys):

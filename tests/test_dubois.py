@@ -1,14 +1,31 @@
 """Unit tests for the Appendix A classifier, including the paper's
 
-hand-worked Figures 1-4."""
+hand-worked Figures 1-4.
+
+Every hand-built case runs the transliteration (:class:`DuboisClassifier`)
+and checks that the public :func:`repro.classify.classify` (the vectorized
+kernel) agrees with it."""
 
 import pytest
 
-from repro.classify import DuboisClassifier, MissClass, classify
+from repro.classify import DuboisClassifier, MissClass
+from repro.classify import classify as kernel_classify
 from repro.errors import TraceError
+from repro.kernels.classifiers import (
+    DUBOIS_CLASSES,
+    KernelContext,
+    dubois_lifetime_classes,
+)
 from repro.mem import BlockMap
 from repro.trace import TraceBuilder
 from repro.trace.events import ACQUIRE, LOAD, RELEASE, STORE
+
+
+def classify(trace, block_bytes):
+    """The transliteration's breakdown, cross-checked against the kernel."""
+    bd = DuboisClassifier.classify_trace(trace, BlockMap(block_bytes))
+    assert kernel_classify(trace, block_bytes) == bd
+    return bd
 
 
 class TestPaperFigure1:
@@ -160,6 +177,11 @@ class TestStreamingAPI:
         with pytest.raises(TraceError):
             clf.access(0, ACQUIRE, 9)
 
+    def test_access_rejects_bad_opcode(self):
+        clf = DuboisClassifier(1, BlockMap(16))
+        with pytest.raises(TraceError):
+            clf.access(0, 9, 0)
+
     def test_double_finish_rejected(self):
         clf = DuboisClassifier(1, BlockMap(4))
         clf.finish()
@@ -177,21 +199,23 @@ class TestStreamingAPI:
             DuboisClassifier(0, BlockMap(4))
 
 
-class TestMissRecords:
-    def test_records_capture_lifetimes(self, fig1_trace):
-        records = []
-        DuboisClassifier.classify_trace(fig1_trace, BlockMap(8),
-                                        record_misses=True,
-                                        out_records=records)
-        assert len(records) == 3
-        classes = sorted(r.mclass.value for r in records)
-        assert classes == ["CTS", "PC", "PTS"]
+class TestMissLifetimes:
+    """Per-miss output of the kernel (what miss attribution consumes)."""
 
-    def test_record_boundaries(self):
+    @staticmethod
+    def lifetimes(trace, block_bytes):
+        fetch, code = dubois_lifetime_classes(KernelContext.from_trace(trace),
+                                              BlockMap(block_bytes))
+        return fetch.tolist(), [DUBOIS_CLASSES[c] for c in code]
+
+    def test_lifetimes_capture_misses(self, fig1_trace):
+        _, classes = self.lifetimes(fig1_trace, 8)
+        assert len(classes) == 3
+        assert sorted(c.value for c in classes) == ["CTS", "PC", "PTS"]
+
+    def test_lifetime_fetch_rows(self):
         t = TraceBuilder(2).load(0, 0).store(1, 0).load(0, 0).build()
-        records = []
-        DuboisClassifier.classify_trace(t, BlockMap(4), record_misses=True,
-                                        out_records=records)
-        first = next(r for r in records if r.mclass is MissClass.PC)
-        assert first.start == 0
-        assert first.end == 2  # ended by P1's store (second data ref)
+        fetch, classes = self.lifetimes(t, 4)
+        by_row = dict(zip(fetch, classes))
+        assert by_row == {0: MissClass.PC, 1: MissClass.PC,
+                          2: MissClass.PTS}

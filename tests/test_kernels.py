@@ -1,10 +1,10 @@
 """Differential and integration tests for the vectorized kernel layer.
 
-The streaming classifiers/protocols are the oracle: every test here
-checks that `repro.kernels` reproduces their counters bit-for-bit — over
-the real workload generators, over hypothesis-random traces (sync events
-included), under arbitrary shard partitions through the engine, and
-through the CLI.  Integration tests cover the resolution contract, the
+The streaming classifiers/protocols are the oracle (for Dubois, the
+Appendix A transliteration): every test here checks that `repro.kernels`
+reproduces their counters bit-for-bit — over the real workload
+generators, over hypothesis-random traces (sync events included), under
+arbitrary shard partitions through the engine, and through the CLI.  Integration tests cover the resolution contract, the
 checkpoint kernel binding, heartbeat granularity and the stall watchdog.
 """
 
@@ -41,7 +41,7 @@ from repro.runtime.retry import RetryPolicy
 from repro.runtime.supervisor import Supervisor
 from repro.trace.events import ACQUIRE, LOAD, RELEASE, STORE
 from repro.trace.trace import Trace
-from repro.workloads.registry import make_workload
+from repro.workloads.registry import SMALL_SUITE, make_workload
 
 #: One representative of each workload generator family.
 FAMILIES = ("MP3D200", "WATER16", "JACOBI64", "FFT256", "LU32",
@@ -153,6 +153,33 @@ def test_kernels_match_oracles_on_random_traces(trace):
                 name, trace.num_procs, bm).run(trace), (bb, name)
 
 
+@given(traces(), st.sampled_from((4, 8, 16, 32, 64)))
+@settings(max_examples=200, deadline=None)
+def test_dubois_kernel_matches_transliteration_on_random_traces(trace, bb):
+    bm = BlockMap(bb)
+    assert (dubois_kernel(kernel_context(trace), bm)
+            == DuboisClassifier.classify_trace(trace, bm))
+
+
+@pytest.mark.parametrize("block_bytes", (4, 64, 1024))
+@pytest.mark.parametrize("name", SMALL_SUITE)
+def test_dubois_kernel_matches_transliteration_on_workloads(name,
+                                                            block_bytes):
+    """Workload prefixes, through the kernel and both engine paths.
+
+    The interpreted engine path feeds the transliteration only the rows
+    the no-op read elision keeps, so it checks the elision too.
+    """
+    full = family_trace(name)
+    trace = Trace(full.events[:6000], full.num_procs, name=name, copy=False)
+    bm = BlockMap(block_bytes)
+    expected = DuboisClassifier.classify_trace(trace, bm)
+    assert dubois_kernel(kernel_context(trace), bm) == expected
+    for mode in ("interpreted", "vectorized"):
+        pre = SharedPrecompute(trace, kernel=mode)
+        assert pre.run_classifier("dubois", block_bytes) == expected, mode
+
+
 # ----------------------------------------------------------------------
 # resolution contract
 # ----------------------------------------------------------------------
@@ -183,15 +210,6 @@ class TestResolution:
         assert resolve_kernel("interpreted", "classify",
                               "dubois") == "interpreted"
 
-    def test_without_numpy_auto_degrades_and_vectorized_refuses(
-            self, monkeypatch):
-        import repro.kernels as K
-        monkeypatch.setattr(K, "VECTORIZED_AVAILABLE", False)
-        assert resolve_kernel("auto", "classify", "dubois") == "interpreted"
-        assert effective_kernel_mode("auto") == "interpreted"
-        with pytest.raises(ConfigError, match="requires NumPy"):
-            validate_kernel_mode("vectorized")
-
     def test_effective_mode(self):
         assert effective_kernel_mode("interpreted") == "interpreted"
         assert effective_kernel_mode("vectorized") == "vectorized"
@@ -206,8 +224,8 @@ class TestJournalKernelBinding:
         trace = family_trace("MATMUL24")
         cell = ("classify", 64, "dubois")
         journal = CheckpointJournal(str(tmp_path), "k", kernel="vectorized")
-        journal.record(cell, DuboisClassifier.classify_trace(
-            trace, BlockMap(64)))
+        journal.record(cell, dubois_kernel(kernel_context(trace),
+                                           BlockMap(64)))
         journal.close()
         # Same mode: records load.
         assert CheckpointJournal(str(tmp_path), "k",

@@ -440,8 +440,9 @@ class TestCli:
         assert options.memory_budget == 256 << 20
         assert options.engine_kwargs()["memory_budget"] == 256 << 20
 
-    def test_defaults_leave_options_none(self):
-        assert _engine_options(build_parser().parse_args(["fig5"])) is None
+    def test_defaults_give_default_options(self):
+        assert (_engine_options(build_parser().parse_args(["fig5"]))
+                == ExecutionOptions())
 
     def test_execution_options_default_budget_is_none(self):
         assert ExecutionOptions().memory_budget is None
