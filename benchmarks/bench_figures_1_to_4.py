@@ -86,7 +86,7 @@ def test_fig4_scheme_differences(benchmark):
 def test_classifier_microbenchmark(benchmark):
     """Per-event throughput of the Appendix A classifier on a long stream
     built from the example patterns."""
-    base = fig1().events + fig3().events + fig4().events
+    base = list(fig1()) + list(fig3()) + list(fig4())
     events = []
     for rep in range(2000):
         offset = (rep % 50) * 16

@@ -23,7 +23,6 @@ from repro.mem import BlockMap
 from repro.mem.addresses import PAPER_BLOCK_SIZES
 from repro.protocols import run_protocol
 from repro.trace.cache import WorkloadTraceCache
-from repro.trace.trace import Trace
 from repro.workloads import make_workload
 
 
@@ -212,7 +211,7 @@ def test_fig5_sweep_end_to_end_speedup(benchmark, tmp_path_factory):
     on a Fig.5-style multi-block-size classification sweep.
 
     * **before** — the pre-refactor workflow: generate the trace (every run
-      regenerated it; there was no cache), then stream the event tuples
+      regenerated it; there was no cache), then stream the data rows
       through the Appendix A transliteration
       (:class:`DuboisClassifier`) once per block size, recomputing
       the block address per access.
@@ -231,8 +230,7 @@ def test_fig5_sweep_end_to_end_speedup(benchmark, tmp_path_factory):
 
     def before():
         full = make_workload(name).generate()
-        tup = Trace(full.events, full.num_procs, name=name, copy=False)
-        return tuple(DuboisClassifier.classify_trace(tup, BlockMap(bb))
+        return tuple(DuboisClassifier.classify_trace(full, BlockMap(bb))
                      for bb in PAPER_BLOCK_SIZES)
 
     def after():

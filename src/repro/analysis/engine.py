@@ -225,8 +225,8 @@ class SharedPrecompute:
         the per-block-size views differ (cached inside the context).
         """
         if self._kctx is None:
-            self._kctx = KernelContext.from_columns(self.data,
-                                                    self.trace.num_procs)
+            self._kctx = KernelContext(self.data.proc, self.data.op,
+                                       self.data.addr, self.trace.num_procs)
         return self._kctx
 
     def _shard_kernel_context(self, digest: str, shard: int,
@@ -412,8 +412,8 @@ class SharedPrecompute:
     def run_protocol(self, name: str, block_bytes: int) -> ProtocolResult:
         """Run one protocol cell over the shared trace.
 
-        The trace's decoded event list is materialized once per process and
-        shared by every protocol cell (the runner batching path).
+        An interpreted protocol decodes the trace's columns one heartbeat
+        chunk at a time as it replays them (:meth:`Protocol.run`).
         """
         if self.resolve_cell("protocol", name) == "vectorized":
             return PROTOCOL_KERNELS[name](

@@ -112,10 +112,9 @@ def check_eggers_tsm_subset_torrellas(trace: Trace,
     to_labels: List[str] = []
     eg = EggersClassifier(trace.num_procs, bm, labels=eg_labels)
     to = TorrellasClassifier(trace.num_procs, bm, labels=to_labels)
-    for proc, op, addr in trace.events:
-        if op in (0, 1):
-            eg.access(proc, op, addr)
-            to.access(proc, op, addr)
+    for proc, op, addr in trace.columns().data_only():
+        eg.access(proc, op, addr)
+        to.access(proc, op, addr)
     eg.finish()
     to.finish()
     violations = []

@@ -63,8 +63,8 @@ from .breakdown import DuboisBreakdown, MissClass
 class DuboisClassifier:
     """Straight transliteration of Appendix A; see the module docstring.
 
-    Feed data events with :meth:`access` (sync events may be passed to
-    :meth:`event`; they are ignored), then call :meth:`finish` once.
+    Feed data references with :meth:`access`, then call :meth:`finish`
+    once (:meth:`classify_trace` does both, skipping sync rows).
     """
 
     def __init__(self, num_procs: int, block_map: BlockMap):
@@ -103,11 +103,6 @@ class DuboisClassifier:
             self._write_action(proc, word_addr)
         else:
             raise TraceError(f"access expects LOAD/STORE, got op {op}")
-
-    def event(self, proc: int, op: int, addr: int) -> None:
-        """Process any trace event; synchronization events are ignored."""
-        if op == LOAD or op == STORE:
-            self.access(proc, op, addr)
 
     # ------------------------------------------------------------------
     # Appendix A actions
@@ -204,12 +199,11 @@ class DuboisClassifier:
     @classmethod
     def classify_trace(cls, trace: Trace,
                        block_map: BlockMap) -> DuboisBreakdown:
-        """Classify a whole trace at one block size (streaming tuple path)."""
+        """Classify a whole trace's data rows at one block size."""
         clf = cls(trace.num_procs, block_map)
         access = clf.access
-        for proc, op, addr in trace.events:
-            if op == LOAD or op == STORE:
-                access(proc, op, addr)
+        for proc, op, addr in trace.columns().data_only():
+            access(proc, op, addr)
         return clf.finish()
 
 

@@ -132,11 +132,6 @@ class EggersClassifier:
                     stale[q] |= offset_bit
             self._valid[block] = bit
 
-    def event(self, proc: int, op: int, addr: int) -> None:
-        """Process any trace event; synchronization events are ignored."""
-        if op == LOAD or op == STORE:
-            self.access(proc, op, addr)
-
     def finish(self) -> SimpleBreakdown:
         """Return the CM/TSM/FSM breakdown (no end-of-trace work needed:
 
@@ -152,16 +147,10 @@ class EggersClassifier:
     def classify_trace(cls, trace: Trace, block_map: BlockMap) -> SimpleBreakdown:
         """Classify a whole trace at one block size."""
         clf = cls(trace.num_procs, block_map)
-        if trace.has_columns:
-            data = trace.columns().data_only()
-            offsets = data.word_offsets(block_map.words_per_block).tolist()
-            clf.feed_data(data.proc.tolist(), data.op.tolist(),
-                          data.addr.tolist(),
-                          data.block_ids(block_map.offset_bits).tolist(),
-                          [1 << o for o in offsets])
-        else:
-            access = clf.access
-            for proc, op, addr in trace.events:
-                if op == LOAD or op == STORE:
-                    access(proc, op, addr)
+        data = trace.columns().data_only()
+        offsets = data.word_offsets(block_map.words_per_block).tolist()
+        clf.feed_data(data.proc.tolist(), data.op.tolist(),
+                      data.addr.tolist(),
+                      data.block_ids(block_map.offset_bits).tolist(),
+                      [1 << o for o in offsets])
         return clf.finish()

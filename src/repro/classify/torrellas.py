@@ -108,11 +108,6 @@ class TorrellasClassifier:
             self._block_valid[block] = block_valid | bit
             self._word_valid[word_addr] = word_valid | bit
 
-    def event(self, proc: int, op: int, addr: int) -> None:
-        """Process any trace event; synchronization events are ignored."""
-        if op == LOAD or op == STORE:
-            self.access(proc, op, addr)
-
     def finish(self) -> SimpleBreakdown:
         """Return the CM/TSM/FSM breakdown."""
         if self._finished:
@@ -126,14 +121,8 @@ class TorrellasClassifier:
     def classify_trace(cls, trace: Trace, block_map: BlockMap) -> SimpleBreakdown:
         """Classify a whole trace at one block size."""
         clf = cls(trace.num_procs, block_map)
-        if trace.has_columns:
-            data = trace.columns().data_only()
-            clf.feed_data(data.proc.tolist(), data.op.tolist(),
-                          data.addr.tolist(),
-                          data.block_ids(block_map.offset_bits).tolist())
-        else:
-            access = clf.access
-            for proc, op, addr in trace.events:
-                if op == LOAD or op == STORE:
-                    access(proc, op, addr)
+        data = trace.columns().data_only()
+        clf.feed_data(data.proc.tolist(), data.op.tolist(),
+                      data.addr.tolist(),
+                      data.block_ids(block_map.offset_bits).tolist())
         return clf.finish()

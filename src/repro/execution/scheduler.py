@@ -115,7 +115,7 @@ class Machine:
         full_meta.setdefault("cycles", cycles)
         full_meta.setdefault("num_procs", self.num_procs)
         return Trace(events, self.num_procs, name=name, meta=full_meta,
-                     validate=False, copy=False)
+                     validate=False)
 
     # ------------------------------------------------------------------
     def _scan_order(self, live: List[int], cycle: int,

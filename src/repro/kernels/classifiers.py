@@ -155,14 +155,10 @@ class KernelContext:
         self._views: Dict[int, "_BlockView"] = {}
 
     @classmethod
-    def from_columns(cls, data, num_procs: int) -> "KernelContext":
-        """Build from a data-only :class:`~repro.trace.columnar.TraceColumns`."""
-        return cls(data.proc, data.op, data.addr, num_procs)
-
-    @classmethod
     def from_trace(cls, trace) -> "KernelContext":
         """Build over a whole trace's data rows (sync rows dropped)."""
-        return cls.from_columns(trace.columns().data_only(), trace.num_procs)
+        data = trace.columns().data_only()
+        return cls(data.proc, data.op, data.addr, trace.num_procs)
 
     # -- word-granularity state (block-size independent) ----------------
     def store_rows(self) -> np.ndarray:

@@ -4,8 +4,9 @@ Backs the ``repro report`` subcommand: given a ``--telemetry`` directory
 (or one run directory inside it), print for each run
 
 * a header with run id, outcome, wall duration and counters,
-* a per-cell table (status, attempts, shards, duration, rows, events/s,
-  predicted-vs-observed footprint ratio, host, result digest),
+* a per-cell table (trace, cell, status, attempts, shards, duration,
+  rows, events/s, predicted-vs-observed footprint ratio, host, result
+  digest),
 * a per-host table (assignments, completed cells, losses) when the run
   used remote workers,
 * the top-N slowest spans from ``events.jsonl``.
@@ -138,6 +139,7 @@ def render_summary(summary: dict) -> str:
             if ratio:
                 ratios.append(ratio)
             rows.append([
+                str(entry.get("trace") or "-"),
                 _fmt_cell(entry.get("cell", [])),
                 str(entry.get("status", "?")),
                 str(entry.get("attempts", 0)),
@@ -150,7 +152,7 @@ def render_summary(summary: dict) -> str:
                 str(entry.get("result_sha256") or "-"),
             ])
         out.append(_table(
-            ["cell", "status", "att", "shards", "dur_s", "rows",
+            ["trace", "cell", "status", "att", "shards", "dur_s", "rows",
              "ev/s", "pred/obs", "host", "result"], rows))
         if ratios:
             out.append("")

@@ -129,11 +129,13 @@ class Protocol:
         # The event loop is chunked so long simulations stay interruptible
         # and heartbeat-visible without paying any per-event overhead: the
         # progress tick (which doubles as a cancellation point) runs once
-        # per HEARTBEAT_CHUNK events, not once per event.
-        events = trace.events
+        # per HEARTBEAT_CHUNK events, not once per event.  Each chunk is
+        # decoded from the columns as it is reached, so no whole-trace
+        # tuple list is ever built.
+        columns = trace.columns()
         step = signals.HEARTBEAT_CHUNK
-        for start in range(0, len(events), step):
-            for proc, op, addr in events[start:start + step]:
+        for start in range(0, len(columns), step):
+            for proc, op, addr in columns[start:start + step]:
                 if op == LOAD:
                     on_load(proc, addr)
                 elif op == STORE:
@@ -142,7 +144,7 @@ class Protocol:
                     on_acquire(proc, addr)
                 elif op == RELEASE:
                     on_release(proc, addr)
-            signals.note_progress(min(step, len(events) - start))
+            signals.note_progress(min(step, len(columns) - start))
         self.on_end()
         breakdown = self.tracker.finish()
         return ProtocolResult(

@@ -42,6 +42,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, List
 
+import numpy as np
+
 from ..errors import ProtocolError
 from ..trace.events import RELEASE
 from ..trace.trace import Trace
@@ -89,11 +91,12 @@ class MAXSchedule(Protocol):
             raise ProtocolError(
                 f"trace has {trace.num_procs} processors, protocol built "
                 f"for {self.num_procs}")
-        self._releases = [[] for _ in range(self.num_procs)]
-        for index, (proc, op, _) in enumerate(trace.events):
-            if op == RELEASE:
-                self._releases[proc].append(index)
-        self._end_index = len(trace.events)
+        cols = trace.columns()
+        rows = np.flatnonzero(cols.op == RELEASE)
+        procs = cols.proc[rows]
+        self._releases = [rows[procs == p].tolist()
+                          for p in range(self.num_procs)]
+        self._end_index = len(cols)
         return super().run(trace)
 
     def _deadline(self, proc: int, issue: int) -> int:

@@ -89,7 +89,6 @@ class TraceBuilder:
 
     def build(self, name: str = "", meta: Optional[dict] = None) -> Trace:
         """Produce the (validated) :class:`~repro.trace.trace.Trace`."""
-        # list() already gives the trace a private copy (the builder may be
-        # extended afterwards), so skip Trace's defensive copy.
-        return Trace(list(self._events), self.num_procs, name=name, meta=meta,
-                     copy=False)
+        # Trace packs the events into its own columns, so the builder may
+        # be extended afterwards.
+        return Trace(self._events, self.num_procs, name=name, meta=meta)

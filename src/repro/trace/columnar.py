@@ -3,11 +3,10 @@
 A :class:`TraceColumns` holds one interleaved trace as three parallel
 ``int64`` NumPy arrays — ``proc``, ``op``, ``addr`` — matching the layout
 of the on-disk ``.npz`` format (:mod:`repro.trace.io`), so traces load and
-save with zero copies.  :class:`~repro.trace.trace.Trace` keeps its
-tuple-sequence API on top of this core: a trace built from tuples grows
-columns lazily on first use, and a trace loaded from arrays materializes
-tuples lazily on first use.  Either representation is authoritative; they
-always decode to the same events.
+save with zero copies.  It is the only thing a
+:class:`~repro.trace.trace.Trace` stores: tuple input is packed by
+:meth:`TraceColumns.from_events`, and iteration decodes rows back to
+``(proc, op, addr)`` tuples.
 
 The columnar form is what makes parameter sweeps cheap (see
 :mod:`repro.analysis.engine`): per-block-size derived columns are single
@@ -38,6 +37,20 @@ def _as_column(values, label: str) -> np.ndarray:
     return arr
 
 
+def _packing_error(events: Sequence) -> TraceError:
+    """Describe the first row of ``events`` that cannot be packed."""
+    for ev in events:
+        if not isinstance(ev, (tuple, list)) or len(ev) != 3:
+            return TraceError(
+                f"event must be a (proc, op, addr) triple, got {ev!r}")
+        bad = [v for v in ev if not isinstance(v, (int, np.integer))
+               or not -2**63 <= v < 2**63]
+        if bad:
+            return TraceError(
+                f"field {bad[0]!r} in event {ev!r} is not an int64 integer")
+    return TraceError("events must be (proc, op, addr) integer triples")
+
+
 class TraceColumns:
     """Three parallel ``int64`` arrays encoding an interleaved trace.
 
@@ -65,24 +78,29 @@ class TraceColumns:
     # ------------------------------------------------------------------
     @classmethod
     def from_events(cls, events: Sequence[Event]) -> "TraceColumns":
-        """Encode a sequence of ``(proc, op, addr)`` tuples."""
-        n = len(events)
-        if n == 0:
-            empty = np.empty(0, dtype=COLUMN_DTYPE)
-            return cls(empty, empty.copy(), empty.copy())
-        packed = np.array(events, dtype=COLUMN_DTYPE)
-        if packed.ndim != 2 or packed.shape[1] != 3:
-            raise TraceError("events must be (proc, op, addr) triples")
+        """Encode a sequence of ``(proc, op, addr)`` integer triples.
+
+        Raises :class:`~repro.errors.TraceError` for a row that is not a
+        triple of integers that fit in int64 (nothing is truncated).
+        """
+        try:
+            # No dtype: NumPy infers an integer dtype only when every
+            # field is an integer that fits in int64, so floats and
+            # overflow are diagnosed below instead of truncated.
+            packed = np.array(events)
+        except ValueError:  # ragged rows
+            raise _packing_error(events) from None
+        if len(events) == 0:
+            packed = np.empty((0, 3), dtype=COLUMN_DTYPE)
+        elif (packed.ndim != 2 or packed.shape[1] != 3
+              or packed.dtype.kind not in "bi"):
+            raise _packing_error(events)
+        packed = packed.astype(COLUMN_DTYPE, copy=False)
         # np.ascontiguousarray gives each column its own compact buffer
         # (a strided view would pin the full 3xN matrix in memory).
         return cls(np.ascontiguousarray(packed[:, 0]),
                    np.ascontiguousarray(packed[:, 1]),
                    np.ascontiguousarray(packed[:, 2]))
-
-    def to_events(self) -> List[Event]:
-        """Decode into the tuple-list representation."""
-        return list(zip(self.proc.tolist(), self.op.tolist(),
-                        self.addr.tolist()))
 
     # ------------------------------------------------------------------
     # basic protocol
@@ -91,7 +109,8 @@ class TraceColumns:
         return len(self.proc)
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(self.to_events())
+        """Decode the rows into ``(proc, op, addr)`` tuples of Python ints."""
+        return zip(self.proc.tolist(), self.op.tolist(), self.addr.tolist())
 
     def __getitem__(self, index):
         if isinstance(index, slice):

@@ -44,7 +44,7 @@ def round_robin(streams: Dict[int, Sequence[Event]], *, quantum: int = 1,
                 cursors[p] = cur + len(take)
                 live = True
     return Trace(events, num_procs=max(streams) + 1, name=name,
-                 validate=False, copy=False)
+                 validate=False)
 
 
 def random_interleave(streams: Dict[int, Sequence[Event]], *, seed: int,
@@ -62,7 +62,7 @@ def random_interleave(streams: Dict[int, Sequence[Event]], *, seed: int,
         if cursors[p] >= len(stream):
             del pending[p]
     return Trace(events, num_procs=max(streams) + 1 if streams else 1,
-                 name=name, validate=False, copy=False)
+                 name=name, validate=False)
 
 
 def reinterleave(trace: Trace, *, seed: int) -> Trace:
@@ -90,7 +90,7 @@ def reinterleave_sync_safe(trace: Trace, *, seed: int, window: int = 32) -> Trac
     from .events import SYNC_OPS
 
     rng = random.Random(seed)
-    events = trace.events
+    events = list(trace)
     out: List[Event] = []
     i = 0
     while i < len(events):
@@ -108,7 +108,7 @@ def reinterleave_sync_safe(trace: Trace, *, seed: int, window: int = 32) -> Trac
             j += 1
         i = j
     return Trace(out, trace.num_procs, name=f"{trace.name}#sync-safe",
-                 meta=trace.meta, validate=False, copy=False)
+                 meta=trace.meta, validate=False)
 
 
 def _shuffle_preserving_program_order(chunk: List[Event],

@@ -37,7 +37,7 @@ def dumps_text(trace: Trace) -> str:
     lines = [_TEXT_MAGIC,
              f"# name: {trace.name}",
              f"num_procs {trace.num_procs}"]
-    for proc, op, addr in trace.events:
+    for proc, op, addr in trace:
         lines.append(f"{proc} {op_name(op)} {addr:#x}")
     return "\n".join(lines) + "\n"
 
@@ -78,7 +78,7 @@ def loads_text(text: str) -> Trace:
         events.append((proc, op, addr))
     if num_procs is None:
         raise TraceFormatError("missing num_procs line")
-    return Trace(events, num_procs, name=name, copy=False)
+    return Trace(events, num_procs, name=name)
 
 
 def save_text(trace: Trace, path: str) -> None:
@@ -171,9 +171,9 @@ def load_npz(path: str, *, verify_checksum: bool = True) -> Trace:
                 f"(stored {stored[:12]}..., actual {actual[:12]}...)")
     try:
         cols = TraceColumns(proc, op, addr)
-        return Trace.from_columns(cols, header["num_procs"],
-                                  name=header.get("name", ""),
-                                  meta=header.get("meta") or {})
+        return Trace(cols, header["num_procs"],
+                     name=header.get("name", ""),
+                     meta=header.get("meta") or {})
     except TraceError as exc:
         raise TraceFormatError(f"{path!r}: {exc}") from None
 

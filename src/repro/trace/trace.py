@@ -4,22 +4,16 @@ A trace is an interleaved, *totally ordered* sequence of events from a fixed
 number of processors (the paper uses trace-driven simulation precisely so
 that the interleaving is fixed across protocol experiments — section 5.0).
 
-Internally a trace holds one (or both) of two equivalent representations:
-
-* the classic **tuple list** — ``[(proc, op, addr), ...]`` — which every
-  streaming consumer (classifiers, protocols, validators) iterates;
-* the **columnar core** — :class:`~repro.trace.columnar.TraceColumns`,
-  three parallel int64 NumPy arrays — which vectorized consumers (the sweep
-  engine, I/O, statistics) operate on directly.
-
-Whichever representation a trace is built from, the other is derived
-lazily on first use and cached, so existing tuple-based code keeps working
-unchanged while array-based code avoids ever materializing tuples.
+A trace stores exactly one representation: a
+:class:`~repro.trace.columnar.TraceColumns`, three parallel int64 NumPy
+arrays.  Tuple input is validated and packed into columns at construction.
+Iterating a trace is the one decoder back to ``(proc, op, addr)`` tuples;
+every other method works on the columns directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -27,7 +21,6 @@ from ..errors import TraceError
 from .columnar import TraceColumns
 from .events import (
     ACQUIRE,
-    DATA_OPS,
     Event,
     LOAD,
     RELEASE,
@@ -43,9 +36,10 @@ class Trace:
     Parameters
     ----------
     events:
-        Sequence of ``(proc, op, addr)`` tuples in global (interleaved)
-        order, or a :class:`~repro.trace.columnar.TraceColumns` holding the
-        same data as parallel arrays (stored by reference, zero-copy).
+        Iterable of ``(proc, op, addr)`` tuples in global (interleaved)
+        order, packed into columns at once, or a
+        :class:`~repro.trace.columnar.TraceColumns` holding the same data
+        (stored by reference, zero-copy).
     num_procs:
         Number of processors.  If omitted it is inferred as ``max(proc)+1``.
     name:
@@ -54,112 +48,62 @@ class Trace:
         Free-form metadata dictionary (workload configuration, seed, the
         simulated data-set size, ...).  Stored by reference.
     validate:
-        When true (default), every event is checked for well-formedness.
-    copy:
-        When true (default), a tuple-sequence input is defensively copied
-        with ``list(events)``.  Trusted internal callers that hand over a
-        freshly built list they will never mutate again (the builder, the
-        I/O readers, the interleavers, the machine scheduler) pass
-        ``copy=False`` to skip that O(n) copy.  Ignored for columnar input,
-        which is always stored by reference.
+        When true (default), every event is checked for well-formedness
+        (tuple input before packing, so the error names the bad event).
     """
 
-    __slots__ = ("_events", "_columns", "num_procs", "name", "meta")
+    __slots__ = ("_columns", "num_procs", "name", "meta")
 
     def __init__(self,
-                 events: Union[Sequence[Event], TraceColumns],
+                 events: Union[Iterable[Event], TraceColumns],
                  num_procs: Optional[int] = None,
                  *, name: str = "", meta: Optional[dict] = None,
-                 validate: bool = True, copy: bool = True):
-        columns: Optional[TraceColumns] = None
+                 validate: bool = True):
         if isinstance(events, TraceColumns):
             columns = events
-            events = None
         else:
-            if copy or not isinstance(events, list):
+            if not isinstance(events, list):
                 events = list(events)
+            if validate:
+                for ev in events:
+                    validate_event(ev)
+            columns = TraceColumns.from_events(events)
         if num_procs is None:
-            if columns is not None:
-                num_procs = columns.infer_num_procs()
-            else:
-                num_procs = 1 + max((ev[0] for ev in events), default=-1)
-                if num_procs == 0:
-                    num_procs = 1
+            num_procs = columns.infer_num_procs()
         if num_procs <= 0:
             raise TraceError(f"num_procs must be positive, got {num_procs}")
         if validate:
-            if columns is not None:
-                columns.validate(num_procs)
-            else:
-                for ev in events:
-                    validate_event(ev, num_procs)
-        self._events: Optional[List[Event]] = events
-        self._columns: Optional[TraceColumns] = columns
+            columns.validate(num_procs)
+        self._columns: TraceColumns = columns
         self.num_procs: int = num_procs
         self.name: str = name
         self.meta: dict = dict(meta or {})
 
-    # ------------------------------------------------------------------
-    # representations
-    # ------------------------------------------------------------------
-    @property
-    def events(self) -> List[Event]:
-        """The tuple-list representation (materialized lazily and cached)."""
-        if self._events is None:
-            self._events = self._columns.to_events()
-        return self._events
-
     def columns(self) -> TraceColumns:
-        """The columnar representation (built lazily and cached)."""
-        if self._columns is None:
-            self._columns = TraceColumns.from_events(self._events)
+        """The trace's columns (stored, never copied)."""
         return self._columns
-
-    @property
-    def has_columns(self) -> bool:
-        """True if the columnar representation is already built."""
-        return self._columns is not None
-
-    @classmethod
-    def from_columns(cls, columns: TraceColumns,
-                     num_procs: Optional[int] = None,
-                     *, name: str = "", meta: Optional[dict] = None,
-                     validate: bool = True) -> "Trace":
-        """Build a trace directly over parallel arrays (zero-copy)."""
-        return cls(columns, num_procs, name=name, meta=meta,
-                   validate=validate)
 
     # ------------------------------------------------------------------
     # sequence protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        if self._events is not None:
-            return len(self._events)
         return len(self._columns)
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(self.events)
+        return iter(self._columns)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            if self._events is None:
-                # Columnar-only trace: slice as NumPy views, zero-copy.
-                return Trace(self._columns[index], self.num_procs,
-                             name=self.name, meta=self.meta, validate=False)
-            return Trace(self._events[index], self.num_procs,
+            # NumPy views: slicing never copies.
+            return Trace(self._columns[index], self.num_procs,
                          name=self.name, meta=self.meta, validate=False)
-        if self._events is None:
-            return self._columns[index]
-        return self._events[index]
+        return self._columns[index]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        if self.num_procs != other.num_procs:
-            return False
-        if self._columns is not None and other._columns is not None:
-            return self._columns == other._columns
-        return self.events == other.events
+        return (self.num_procs == other.num_procs
+                and self._columns == other._columns)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = f" {self.name!r}" if self.name else ""
@@ -169,49 +113,27 @@ class Trace:
     # ------------------------------------------------------------------
     # derived views
     # ------------------------------------------------------------------
-    def data_events(self) -> Iterator[Event]:
-        """Only LOAD/STORE events, in order."""
-        return (ev for ev in self.events if ev[1] in DATA_OPS)
-
     def per_processor(self) -> Dict[int, List[Event]]:
         """Split into per-processor streams (program order preserved)."""
-        streams: Dict[int, List[Event]] = {p: [] for p in range(self.num_procs)}
-        for ev in self.events:
-            streams[ev[0]].append(ev)
-        return streams
+        cols = self._columns
+        return {p: list(cols.take(rows)) for p, rows
+                in enumerate(cols.per_processor_indices(self.num_procs))}
 
     def touched_words(self) -> set:
         """Set of word addresses touched by data accesses."""
-        if self._columns is not None:
-            return set(self._columns.touched_words().tolist())
-        return {addr for _, op, addr in self._events if op in DATA_OPS}
+        return set(self._columns.touched_words().tolist())
 
     def touched_blocks(self, block_map) -> set:
         """Set of block addresses touched by data accesses."""
-        if self._columns is not None:
-            cols = self._columns
-            blocks = cols.block_ids(block_map.offset_bits)[cols.data_mask()]
-            return set(np.unique(blocks).tolist())
-        return {block_map.block_of(addr)
-                for _, op, addr in self._events if op in DATA_OPS}
+        cols = self._columns
+        blocks = cols.block_ids(block_map.offset_bits)[cols.data_mask()]
+        return set(np.unique(blocks).tolist())
 
     def counts(self) -> "TraceCounts":
         """Event counts by opcode (see :class:`TraceCounts`)."""
-        if self._columns is not None:
-            per_op = self._columns.op_counts()
-            return TraceCounts(int(per_op[LOAD]), int(per_op[STORE]),
-                               int(per_op[ACQUIRE]), int(per_op[RELEASE]))
-        loads = stores = acquires = releases = 0
-        for _, op, _ in self._events:
-            if op == LOAD:
-                loads += 1
-            elif op == STORE:
-                stores += 1
-            elif op == ACQUIRE:
-                acquires += 1
-            elif op == RELEASE:
-                releases += 1
-        return TraceCounts(loads, stores, acquires, releases)
+        per_op = self._columns.op_counts()
+        return TraceCounts(int(per_op[LOAD]), int(per_op[STORE]),
+                           int(per_op[ACQUIRE]), int(per_op[RELEASE]))
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -222,12 +144,8 @@ class Trace:
             raise TraceError(
                 f"cannot concat traces with {self.num_procs} and "
                 f"{other.num_procs} processors")
-        if self._events is None and other._events is None:
-            return Trace(self._columns.concat(other._columns), self.num_procs,
-                         name=self.name, meta=self.meta, validate=False)
-        return Trace(self.events + other.events, self.num_procs,
-                     name=self.name, meta=self.meta, validate=False,
-                     copy=False)
+        return Trace(self._columns.concat(other._columns), self.num_procs,
+                     name=self.name, meta=self.meta, validate=False)
 
     def head(self, n: int) -> "Trace":
         """First ``n`` events as a new trace."""
@@ -247,22 +165,20 @@ class Trace:
         if fraction == 1.0:
             return self
         keep = max(1, int(granularity * fraction))
-        events = self.events
-        kept: List[Event] = []
-        for start in range(0, len(events), granularity):
-            kept.extend(events[start:start + keep])
-        return Trace(kept, self.num_procs, name=f"{self.name}~{fraction}",
-                     meta=self.meta, validate=False, copy=False)
+        rows = np.arange(len(self))
+        return Trace(self._columns.take(rows[rows % granularity < keep]),
+                     self.num_procs, name=f"{self.name}~{fraction}",
+                     meta=self.meta, validate=False)
 
     def format(self, limit: int = 20) -> str:
         """Multi-line human-readable rendering of the first ``limit`` events."""
-        events = self.events
+        n = len(self)
         lines = [f"Trace {self.name or '<anonymous>'} "
-                 f"({len(events)} events, {self.num_procs} procs)"]
-        for i, ev in enumerate(events[:limit]):
+                 f"({n} events, {self.num_procs} procs)"]
+        for i, ev in enumerate(self[:limit]):
             lines.append(f"  T{i}: {format_event(ev)}")
-        if len(events) > limit:
-            lines.append(f"  ... {len(events) - limit} more")
+        if n > limit:
+            lines.append(f"  ... {n - limit} more")
         return "\n".join(lines)
 
 
@@ -322,4 +238,4 @@ def merge_program_order(streams: Dict[int, Iterable[Event]],
         if leftover is not None:
             raise TraceError(f"order leaves events of processor {p} unconsumed")
     return Trace(events, num_procs=max(streams) + 1 if streams else 1,
-                 validate=False, copy=False)
+                 validate=False)

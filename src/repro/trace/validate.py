@@ -89,7 +89,7 @@ def check_races(trace: Trace, *, max_races: int = 16) -> RaceReport:
     last_write: Dict[int, Tuple[int, int, int]] = {}
     last_reads: Dict[int, Dict[int, Tuple[int, int]]] = {}
     races: List[Tuple[Tuple[int, tuple], Tuple[int, tuple]]] = []
-    events = trace.events
+    events = list(trace)
 
     def record(i1: int, i2: int) -> None:
         if len(races) < max_races:
@@ -154,7 +154,7 @@ def sync_pairs_balanced(trace: Trace) -> Optional[str]:
     """
     acquires: Dict[tuple, int] = {}
     releases: Dict[tuple, int] = {}
-    for proc, op, addr in trace.events:
+    for proc, op, addr in trace:
         if op == ACQUIRE:
             acquires[(proc, addr)] = acquires.get((proc, addr), 0) + 1
         elif op == RELEASE:

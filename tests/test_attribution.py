@@ -140,7 +140,7 @@ def test_regions_match_transliteration_in_classification_order(trace, bb):
     """One region per word: each region's counts and the region order
     (by first classified miss) match the transliteration's miss stream."""
     log = _ClassificationLog(trace.num_procs, BlockMap(bb))
-    for proc, op, addr in trace.events:
+    for proc, op, addr in trace:
         log.access(proc, op, addr)
     log.finish()
     expected = {}

@@ -10,23 +10,23 @@ from repro.trace.events import ACQUIRE, LOAD, RELEASE, STORE
 class TestBuilder:
     def test_basic_sequence(self):
         t = TraceBuilder(2).store(0, 1).load(1, 1).build("t")
-        assert t.events == [(0, STORE, 1), (1, LOAD, 1)]
+        assert list(t) == [(0, STORE, 1), (1, LOAD, 1)]
         assert t.name == "t"
 
     def test_sync_events(self):
         t = TraceBuilder(1).acquire(0, 8).release(0, 8).build()
-        assert t.events == [(0, ACQUIRE, 8), (0, RELEASE, 8)]
+        assert list(t) == [(0, ACQUIRE, 8), (0, RELEASE, 8)]
 
     def test_bulk_loads_stores(self):
         t = TraceBuilder(1).loads(0, [0, 1]).stores(0, [2, 3]).build()
-        assert t.events == [(0, LOAD, 0), (0, LOAD, 1),
+        assert list(t) == [(0, LOAD, 0), (0, LOAD, 1),
                             (0, STORE, 2), (0, STORE, 3)]
 
     def test_critical_section(self):
         t = (TraceBuilder(1)
              .critical_section(0, 100, lambda b: b.store(0, 5))
              .build())
-        assert t.events == [(0, ACQUIRE, 100), (0, STORE, 5),
+        assert list(t) == [(0, ACQUIRE, 100), (0, STORE, 5),
                             (0, RELEASE, 100)]
 
     def test_extend_raw_events(self):

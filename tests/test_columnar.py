@@ -1,4 +1,4 @@
-"""Unit tests for the columnar trace core and the dual-representation Trace."""
+"""Unit tests for the columnar trace core and the Trace built on it."""
 
 import numpy as np
 import pytest
@@ -26,18 +26,18 @@ def cols():
 
 class TestTraceColumns:
     def test_roundtrip(self, cols):
-        assert cols.to_events() == EVENTS
+        assert list(cols) == EVENTS
 
     def test_len_iter_getitem(self, cols):
         assert len(cols) == len(EVENTS)
         assert list(cols) == EVENTS
         assert cols[3] == (2, STORE, 0x11)
-        assert cols[1:4].to_events() == EVENTS[1:4]
+        assert list(cols[1:4]) == EVENTS[1:4]
 
     def test_empty(self):
         empty = TraceColumns.from_events([])
         assert len(empty) == 0
-        assert empty.to_events() == []
+        assert list(empty) == []
         assert empty.infer_num_procs() == 1
         empty.validate(1)  # no-op, must not raise
 
@@ -56,7 +56,26 @@ class TestTraceColumns:
     def test_other_dtypes_converted(self):
         c = TraceColumns(np.zeros(2, dtype=np.int32), [0, 1], [4, 8])
         assert c.proc.dtype == COLUMN_DTYPE
-        assert c.to_events() == [(0, 0, 4), (0, 1, 8)]
+        assert list(c) == [(0, 0, 4), (0, 1, 8)]
+
+    def test_decoded_fields_are_python_ints(self, cols):
+        assert all(type(v) is int for ev in cols for v in ev)
+
+    def test_from_events_rejects_float_field(self):
+        with pytest.raises(TraceError,
+                           match=r"field 1\.5 in event \(0, 0, 1\.5\) "
+                                 r"is not an int64 integer"):
+            TraceColumns.from_events([(0, 0, 1.5)])
+
+    def test_from_events_rejects_ragged_rows(self):
+        with pytest.raises(TraceError,
+                           match=r"event must be a \(proc, op, addr\) "
+                                 r"triple, got \(0, 0\)"):
+            TraceColumns.from_events([(0, 0, 1), (0, 0)])
+
+    def test_from_events_rejects_int64_overflow(self):
+        with pytest.raises(TraceError, match=r"is not an int64 integer"):
+            TraceColumns.from_events([(0, 0, 1), (0, 0, -2**63 - 1)])
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(TraceError):
@@ -87,9 +106,9 @@ class TestTraceColumns:
 
     def test_take_and_concat(self, cols):
         taken = cols.take(np.array([0, 5]))
-        assert taken.to_events() == [EVENTS[0], EVENTS[5]]
+        assert list(taken) == [EVENTS[0], EVENTS[5]]
         joined = taken.concat(taken)
-        assert joined.to_events() == [EVENTS[0], EVENTS[5]] * 2
+        assert list(joined) == [EVENTS[0], EVENTS[5]] * 2
 
 
 class TestDerivedColumns:
@@ -105,8 +124,7 @@ class TestDerivedColumns:
 
     def test_data_only(self, cols):
         data = cols.data_only()
-        assert data.to_events() == [ev for ev in EVENTS
-                                    if ev[1] in (LOAD, STORE)]
+        assert list(data) == [ev for ev in EVENTS if ev[1] in (LOAD, STORE)]
 
     def test_sync_indices(self, cols):
         sync = cols.sync_indices()
@@ -134,68 +152,63 @@ class TestDerivedColumns:
 
 
 class TestDualRepresentationTrace:
-    def test_tuple_trace_grows_columns_lazily(self):
-        t = Trace(EVENTS, 3)
-        assert not t.has_columns
-        assert t.columns().to_events() == EVENTS
-        assert t.has_columns
-        assert t.columns() is t.columns()  # cached
+    """A trace built from tuples and one built over columns are the same:
+    both store only columns, and iteration decodes them."""
 
-    def test_columnar_trace_materializes_events_lazily(self):
-        t = Trace.from_columns(TraceColumns.from_events(EVENTS), 3)
-        assert t.has_columns
-        assert t.events == EVENTS
-        assert t.events is t.events  # cached
+    def test_tuple_trace_packed_at_construction(self):
+        t = Trace(EVENTS, 3)
+        assert list(t.columns()) == EVENTS
+        assert t.columns() is t.columns()  # stored, not rebuilt
+
+    def test_columnar_trace_decodes_by_iteration(self):
+        cols = TraceColumns.from_events(EVENTS)
+        t = Trace(cols, 3)
+        assert t.columns() is cols  # adopted by reference
+        assert list(t) == EVENTS
 
     def test_columnar_trace_infers_num_procs(self):
-        t = Trace.from_columns(TraceColumns.from_events(EVENTS))
+        t = Trace(TraceColumns.from_events(EVENTS))
         assert t.num_procs == 3
 
     def test_columnar_validation(self):
         with pytest.raises(TraceError):
-            Trace.from_columns(TraceColumns.from_events(EVENTS), 2)
+            Trace(TraceColumns.from_events(EVENTS), 2)
 
     def test_equality_across_representations(self):
         tuple_trace = Trace(EVENTS, 3)
-        col_trace = Trace.from_columns(TraceColumns.from_events(EVENTS), 3)
+        col_trace = Trace(TraceColumns.from_events(EVENTS), 3)
         assert tuple_trace == col_trace
         assert col_trace == tuple_trace
 
     def test_sequence_protocol_on_columnar_trace(self):
-        t = Trace.from_columns(TraceColumns.from_events(EVENTS), 3)
+        t = Trace(TraceColumns.from_events(EVENTS), 3)
         assert len(t) == len(EVENTS)
         assert t[3] == EVENTS[3]
         assert list(t) == EVENTS
 
     def test_columnar_slicing_stays_columnar(self):
-        t = Trace.from_columns(TraceColumns.from_events(EVENTS), 3)
+        t = Trace(TraceColumns.from_events(EVENTS), 3)
         head = t[:4]
-        assert head.has_columns
-        assert head.events == EVENTS[:4]
+        assert np.shares_memory(head.columns().addr, t.columns().addr)
+        assert list(head) == EVENTS[:4]
 
     def test_columnar_concat(self):
-        t = Trace.from_columns(TraceColumns.from_events(EVENTS), 3)
+        t = Trace(TraceColumns.from_events(EVENTS), 3)
         joined = t.concat(t)
-        assert joined.has_columns
-        assert joined.events == EVENTS * 2
+        assert list(joined) == EVENTS * 2
 
     def test_counts_agree_across_representations(self):
         tuple_trace = Trace(EVENTS, 3)
-        col_trace = Trace.from_columns(TraceColumns.from_events(EVENTS), 3)
+        col_trace = Trace(TraceColumns.from_events(EVENTS), 3)
         assert tuple_trace.counts() == col_trace.counts()
 
     def test_touched_sets_agree_across_representations(self):
         tuple_trace = Trace(EVENTS, 3)
-        col_trace = Trace.from_columns(TraceColumns.from_events(EVENTS), 3)
+        col_trace = Trace(TraceColumns.from_events(EVENTS), 3)
         assert tuple_trace.touched_words() == col_trace.touched_words()
         bm = BlockMap(64)
         assert (tuple_trace.touched_blocks(bm)
                 == col_trace.touched_blocks(bm))
-
-    def test_copy_false_adopts_list(self):
-        events = list(EVENTS)
-        t = Trace(events, 3, copy=False)
-        assert t.events is events
 
     def test_copy_true_defends_against_mutation(self):
         events = list(EVENTS)
@@ -205,4 +218,4 @@ class TestDualRepresentationTrace:
 
     def test_builder_produces_column_ready_trace(self):
         t = (TraceBuilder(2).store(0, 0x10).load(1, 0x10).build("b"))
-        assert t.columns().to_events() == [(0, STORE, 0x10), (1, LOAD, 0x10)]
+        assert list(t.columns()) == [(0, STORE, 0x10), (1, LOAD, 0x10)]

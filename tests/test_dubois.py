@@ -17,7 +17,7 @@ from repro.kernels.classifiers import (
     dubois_lifetime_classes,
 )
 from repro.mem import BlockMap
-from repro.trace import TraceBuilder
+from repro.trace import Trace, TraceBuilder
 from repro.trace.events import ACQUIRE, LOAD, RELEASE, STORE
 
 
@@ -167,10 +167,9 @@ class TestStreamingAPI:
         assert bd.total == 2
 
     def test_event_ignores_sync(self):
-        clf = DuboisClassifier(2, BlockMap(4))
-        clf.event(0, ACQUIRE, 9)
-        clf.event(0, RELEASE, 9)
-        assert clf.finish().data_refs == 0
+        t = Trace([(0, ACQUIRE, 9), (0, LOAD, 0), (0, RELEASE, 9)], 2)
+        bd = DuboisClassifier.classify_trace(t, BlockMap(4))
+        assert bd.data_refs == 1 and bd.total == 1
 
     def test_access_rejects_sync_op(self):
         clf = DuboisClassifier(2, BlockMap(4))

@@ -5,8 +5,8 @@ import pytest
 from repro.classify import EggersClassifier
 from repro.errors import TraceError
 from repro.mem import BlockMap
-from repro.trace import TraceBuilder
-from repro.trace.events import ACQUIRE, LOAD
+from repro.trace import Trace, TraceBuilder
+from repro.trace.events import ACQUIRE, LOAD, RELEASE
 
 
 def run(trace, block_bytes):
@@ -85,10 +85,9 @@ class TestRules:
         assert sb.false_sharing == 1 and sb.true_sharing == 0
 
     def test_ignores_sync_via_event(self):
-        clf = EggersClassifier(2, BlockMap(4))
-        clf.event(0, ACQUIRE, 0)
-        clf.event(0, LOAD, 0)
-        assert clf.finish().data_refs == 1
+        t = Trace([(0, ACQUIRE, 0), (0, LOAD, 0), (0, RELEASE, 0)], 2)
+        bd = EggersClassifier.classify_trace(t, BlockMap(4))
+        assert bd.data_refs == 1 and bd.total == 1
 
 
 class TestAPI:

@@ -23,7 +23,6 @@ from repro.protocols.runner import (
     run_protocol_grid,
     run_protocols,
 )
-from repro.trace.columnar import TraceColumns
 from repro.trace.trace import Trace
 from repro.workloads.registry import NAMED_CONFIGS, PAPER_LARGE_SUITE, make_workload
 
@@ -41,16 +40,16 @@ PREFIX = 8000
 def traces():
     """``name -> (tuple_trace, columnar_trace)`` over identical events.
 
-    The tuple trace never grows columns during these tests (the streaming
-    path); the columnar trace starts from arrays (the engine path).
+    The tuple trace is packed from decoded tuples and feeds the streaming
+    oracles; the columnar trace is a slice of the generated columns and
+    feeds the engine path.
     """
     out = {}
     for name in WORKLOAD_NAMES:
         full = make_workload(name).generate()
-        events = full.events[:PREFIX]
-        tuple_trace = Trace(events, full.num_procs, name=name, copy=False)
-        col_trace = Trace.from_columns(TraceColumns.from_events(events),
-                                       full.num_procs, name=name)
+        tuple_trace = Trace(full[:PREFIX], full.num_procs, name=name)
+        col_trace = Trace(full.columns()[:PREFIX], full.num_procs,
+                          name=name)
         out[name] = (tuple_trace, col_trace)
     return out
 
@@ -131,4 +130,3 @@ def test_for_workload_generates_once(tmp_path):
     first = SweepEngine.for_workload("FFT256", cache_dir=cache_dir)
     second = SweepEngine.for_workload("FFT256", cache_dir=cache_dir)
     assert first.trace == second.trace
-    assert second.trace.has_columns  # reloaded straight from arrays

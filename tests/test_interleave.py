@@ -20,7 +20,7 @@ def two_streams():
 
 def program_order_preserved(trace):
     streams = {}
-    for ev in trace.events:
+    for ev in trace:
         streams.setdefault(ev[0], []).append(ev)
     for p, evs in streams.items():
         addrs = [a for _, _, a in evs]
@@ -30,11 +30,11 @@ def program_order_preserved(trace):
 class TestRoundRobin:
     def test_alternates(self):
         t = round_robin(two_streams())
-        assert [ev[0] for ev in t.events] == [0, 1, 0, 1, 0, 1, 0, 1]
+        assert [ev[0] for ev in t] == [0, 1, 0, 1, 0, 1, 0, 1]
 
     def test_quantum(self):
         t = round_robin(two_streams(), quantum=2)
-        assert [ev[0] for ev in t.events] == [0, 0, 1, 1, 0, 0, 1, 1]
+        assert [ev[0] for ev in t] == [0, 0, 1, 1, 0, 0, 1, 1]
 
     def test_uneven_streams(self):
         streams = {0: [(0, LOAD, 0)], 1: [(1, LOAD, 1), (1, LOAD, 2)]}
@@ -55,12 +55,12 @@ class TestRandomInterleave:
     def test_deterministic_given_seed(self):
         a = random_interleave(two_streams(), seed=5)
         b = random_interleave(two_streams(), seed=5)
-        assert a.events == b.events
+        assert list(a) == list(b)
 
     def test_different_seeds_differ(self):
         a = random_interleave(two_streams(), seed=1)
         b = random_interleave(two_streams(), seed=2)
-        assert a.events != b.events  # 8 events, astronomically unlikely equal
+        assert list(a) != list(b)  # 8 events, astronomically unlikely equal
 
     def test_program_order_preserved(self):
         t = random_interleave(two_streams(), seed=3)
@@ -73,7 +73,7 @@ class TestReinterleave:
         base = (TraceBuilder(2)
                 .load(0, 0).load(0, 1).store(1, 5).load(1, 6).build("b"))
         out = reinterleave(base, seed=11)
-        assert sorted(out.events) == sorted(base.events)
+        assert sorted(out) == sorted(base)
         assert out.per_processor() == base.per_processor()
 
 
@@ -84,15 +84,15 @@ class TestSyncSafeReinterleave:
                 .load(0, 1).load(1, 8).release(0, 100)
                 .build("s"))
         out = reinterleave_sync_safe(base, seed=4)
-        base_sync = [ev for ev in base.events if ev[1] >= 2]
-        out_sync = [ev for ev in out.events if ev[1] >= 2]
+        base_sync = [ev for ev in base if ev[1] >= 2]
+        out_sync = [ev for ev in out if ev[1] >= 2]
         assert base_sync == out_sync
         assert out.per_processor() == base.per_processor()
-        assert sorted(out.events) == sorted(base.events)
+        assert sorted(out) == sorted(base)
 
     def test_data_never_crosses_sync_boundary(self):
         base = (TraceBuilder(1)
                 .load(0, 0).release(0, 100).load(0, 1).build())
         out = reinterleave_sync_safe(base, seed=1)
         # with one processor nothing can move at all
-        assert out.events == base.events
+        assert list(out) == list(base)

@@ -41,7 +41,7 @@ class TestTextFormat:
                 "# a comment\n0 LOAD 0x4  # trailing\n1 ST 8\n")
         t = loads_text(text)
         assert len(t) == 2
-        assert t.events[1] == (1, 1, 8)
+        assert t[1] == (1, 1, 8)
 
     def test_missing_header_rejected(self):
         with pytest.raises(TraceFormatError):
@@ -61,7 +61,7 @@ class TestTextFormat:
 
     def test_decimal_and_hex_addresses(self):
         t = loads_text("#repro-trace-v1\nnum_procs 1\n0 LOAD 10\n0 LOAD 0x10\n")
-        assert [a for _, _, a in t.events] == [10, 16]
+        assert [a for _, _, a in t] == [10, 16]
 
 
 class TestTextEdgeCases:
@@ -168,8 +168,7 @@ class TestNpzFormat:
         path = str(tmp_path / "cols.npz")
         save_npz(trace, path)
         loaded = load_npz(path)
-        assert loaded.has_columns  # arrays adopted directly, no decode
-        assert loaded.events == trace.events
+        assert list(loaded) == list(trace)
 
 
 class TestCached:

@@ -58,8 +58,7 @@ def family_trace(name):
 
 
 def kernel_context(trace):
-    return KernelContext.from_columns(trace.columns().data_only(),
-                                      trace.num_procs)
+    return KernelContext.from_trace(trace)
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +170,7 @@ def test_dubois_kernel_matches_transliteration_on_workloads(name,
     the no-op read elision keeps, so it checks the elision too.
     """
     full = family_trace(name)
-    trace = Trace(full.events[:6000], full.num_procs, name=name, copy=False)
+    trace = Trace(full[:6000], full.num_procs, name=name)
     bm = BlockMap(block_bytes)
     expected = DuboisClassifier.classify_trace(trace, bm)
     assert dubois_kernel(kernel_context(trace), bm) == expected
@@ -322,7 +321,7 @@ def _slow_vectorized_cell(task):
     events = [(p, STORE if (i + p) % 3 else LOAD, (i * 7 + p) % 64)
               for i in range(500) for p in range(4)]
     trace = Trace(events, 4, validate=False)
-    ctx = KernelContext.from_columns(trace.columns().data_only(), 4)
+    ctx = KernelContext.from_trace(trace)
     orig_phase = K._Heartbeat.phase
 
     def slow_phase(self):

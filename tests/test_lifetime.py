@@ -128,7 +128,7 @@ class TestEquivalenceWithAppendixA:
         bm = BlockMap(block_bytes)
         tracker = LifetimeTracker(trace.num_procs, bm)
         valid = {}
-        for proc, op, addr in trace.events:
+        for proc, op, addr in trace:
             block = bm.block_of(addr)
             mask = valid.get(block, 0)
             bit = 1 << proc

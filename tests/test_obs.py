@@ -72,8 +72,7 @@ FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.05)
 @pytest.fixture(scope="module")
 def trace():
     full = make_workload("MP3D200").generate()
-    return Trace(full.events[:4000], full.num_procs, name="MP3D200",
-                 copy=False)
+    return Trace(full[:4000], full.num_procs, name="MP3D200")
 
 
 def _read_records(run_dir):
@@ -303,6 +302,21 @@ class TestRecordedSweep:
         out = io.StringIO()
         render_report(os.path.dirname(run["dir"]), stream=out)
         assert "classify/32/dubois" in out.getvalue()
+
+    def test_report_cell_rows_name_their_trace(self, trace, tmp_path):
+        # Two traces in one run share every cell id, as fig6's suite does.
+        cell = ("protocol", 64, "MIN")
+        cols = trace.columns()
+        with RunTelemetry(str(tmp_path)):
+            for name, part in (("HEAD", cols[:2000]), ("TAIL", cols[2000:])):
+                SweepEngine(Trace(part, trace.num_procs, name=name)
+                            ).run_grid([cell])
+        (run_dir,) = find_runs(str(tmp_path))
+        lines = render_run(run_dir).splitlines()
+        assert any(line.split()[:2] == ["trace", "cell"] for line in lines)
+        rows = [line.split() for line in lines
+                if line.split()[1:2] == ["protocol/64/MIN"]]
+        assert sorted(row[0] for row in rows) == ["HEAD", "TAIL"]
 
     def test_render_report_rejects_empty_directory(self, tmp_path):
         with pytest.raises(ReproError):

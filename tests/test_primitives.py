@@ -21,7 +21,7 @@ class TestLock:
             yield from lock.release(0)
 
         trace = Machine(1).run([t()])
-        ops_seq = [(op, a) for _, op, a in trace.events]
+        ops_seq = [(op, a) for _, op, a in trace]
         assert ops_seq == [(ACQUIRE, lock.addr), (LOAD, lock.addr),
                            (STORE, lock.addr), (STORE, lock.addr),
                            (RELEASE, lock.addr)]
@@ -173,7 +173,7 @@ class TestFlag:
 
         trace = Machine(1).run([t()])
         # ST, REL, ACQ, LD
-        assert [op for _, op, _ in trace.events] == [STORE, RELEASE,
+        assert [op for _, op, _ in trace] == [STORE, RELEASE,
                                                      ACQUIRE, LOAD]
 
     def test_many_waiters(self):

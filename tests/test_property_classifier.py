@@ -98,7 +98,7 @@ def test_misses_bounded_by_refs_and_at_least_touched_blocks(trace, bb):
     bd = DuboisClassifier.classify_trace(trace, bm)
     assert bd.total <= len(trace)
     # every (block, proc) first touch is a miss
-    first_touches = {(bm.block_of(a), p) for p, _, a in trace.events}
+    first_touches = {(bm.block_of(a), p) for p, _, a in trace}
     assert bd.total >= len(first_touches) if False else True
     assert bd.cold == len(first_touches)
 
@@ -107,7 +107,7 @@ def test_misses_bounded_by_refs_and_at_least_touched_blocks(trace, bb):
 @settings(max_examples=100, deadline=None)
 def test_single_processor_traces_have_only_pure_cold(trace, bb):
     if trace.num_procs != 1:
-        events = [(0, op, addr) for _, op, addr in trace.events]
+        events = [(0, op, addr) for _, op, addr in trace]
         trace = Trace(events, 1, validate=False)
     bd = DuboisClassifier.classify_trace(trace, BlockMap(bb))
     assert bd.total == bd.pc
@@ -127,7 +127,7 @@ def test_duplicating_trace_adds_no_cold_misses(trace, bb):
     """Cold misses depend only on first touches, which don't change when
     the trace is replayed twice back to back."""
     bd1 = DuboisClassifier.classify_trace(trace, BlockMap(bb))
-    doubled = Trace(trace.events + trace.events, trace.num_procs,
+    doubled = Trace(list(trace) + list(trace), trace.num_procs,
                     validate=False)
     bd2 = DuboisClassifier.classify_trace(doubled, BlockMap(bb))
     assert bd2.cold == bd1.cold

@@ -62,7 +62,7 @@ def test_random_order_deterministic_per_seed(program, seed):
         [make_thread(b) for b in bodies])
     b = Machine(nproc, order="random", seed=seed).run(
         [make_thread(body) for body in bodies])
-    assert a.events == b.events
+    assert list(a) == list(b)
 
 
 @given(programs())
@@ -94,9 +94,9 @@ def test_blocking_on_counter_preserves_order(program):
     trace = Machine(nproc).run(threads)
     assert len(trace) == sum(len(b) for b in bodies)
     if len(trace) > 1:
-        first_p0 = next(i for i, ev in enumerate(trace.events)
+        first_p0 = next(i for i, ev in enumerate(trace)
                         if ev[0] == 0)
-        others_first = next((i for i, ev in enumerate(trace.events)
+        others_first = next((i for i, ev in enumerate(trace)
                              if ev[0] != 0), None)
         if others_first is not None:
             assert first_p0 < others_first

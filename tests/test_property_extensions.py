@@ -45,7 +45,7 @@ def test_wu_misses_are_exactly_first_touches(trace, bb):
     (block, processor) first touches — at or below every other protocol."""
     bm = BlockMap(bb)
     wu = run_protocol("WU", trace, bb)
-    first_touches = {(bm.block_of(a), p) for p, _, a in trace.events}
+    first_touches = {(bm.block_of(a), p) for p, _, a in trace}
     assert wu.misses == len(first_touches)
     assert wu.breakdown.pts == 0
     assert wu.breakdown.pfs == 0

@@ -75,7 +75,7 @@ def test_all_protocols_complete_and_account_consistently(trace, bb):
     for name, r in run_protocols(trace, bb, ALL).items():
         b = r.breakdown
         assert b.pc + b.cts + b.cfs + b.pts + b.pfs == b.total, name
-        assert b.data_refs == sum(1 for _, op, _ in trace.events
+        assert b.data_refs == sum(1 for _, op, _ in trace
                                   if op in (LOAD, STORE)), name
         assert r.misses >= 0
         # every fetch is a miss and vice versa (infinite caches)

@@ -69,7 +69,7 @@ def test_race_checker_is_deterministic_and_bounded(trace):
 @given(traces())
 @settings(max_examples=60, deadline=None)
 def test_single_processor_traces_are_race_free(trace):
-    events = [(0, op, addr) for _, op, addr in trace.events]
+    events = [(0, op, addr) for _, op, addr in trace]
     single = Trace(events, 1, validate=False)
     assert check_races(single).is_race_free
 
@@ -77,7 +77,7 @@ def test_single_processor_traces_are_race_free(trace):
 @given(traces())
 @settings(max_examples=60, deadline=None)
 def test_read_only_traces_are_race_free(trace):
-    events = [(p, LOAD, a) for p, op, a in trace.events]
+    events = [(p, LOAD, a) for p, op, a in trace]
     loads_only = Trace(events, trace.num_procs, validate=False)
     assert check_races(loads_only).is_race_free
 
@@ -87,8 +87,8 @@ def test_read_only_traces_are_race_free(trace):
 def test_sample_is_subsequence(trace, tenth):
     fraction = tenth / 10.0
     sampled = trace.sample(fraction, granularity=8)
-    it = iter(trace.events)
-    for ev in sampled.events:
+    it = iter(trace)
+    for ev in sampled:
         for candidate in it:
             if candidate == ev:
                 break

@@ -69,8 +69,7 @@ FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.05)
 def trace():
     """A deterministic prefix of MP3D200 (structure without scale)."""
     full = make_workload("MP3D200").generate()
-    return Trace(full.events[:6000], full.num_procs, name="MP3D200",
-                 copy=False)
+    return Trace(full[:6000], full.num_procs, name="MP3D200")
 
 
 @pytest.fixture(scope="module")

@@ -19,13 +19,13 @@ class TestBasicExecution:
     def test_single_thread(self):
         m = Machine(1)
         t = m.run([emitter(0, 3)], name="one")
-        assert t.events == [(0, LOAD, 0), (0, LOAD, 1), (0, LOAD, 2)]
+        assert list(t) == [(0, LOAD, 0), (0, LOAD, 1), (0, LOAD, 2)]
         assert t.meta["cycles"] == 3
 
     def test_parallel_threads_interleave(self):
         m = Machine(2, order="fixed")
         t = m.run([emitter(0, 2), emitter(10, 2)])
-        assert t.events == [(0, LOAD, 0), (1, LOAD, 10),
+        assert list(t) == [(0, LOAD, 0), (1, LOAD, 10),
                             (0, LOAD, 1), (1, LOAD, 11)]
         # two 2-event threads run in 2 cycles on 2 processors
         assert t.meta["cycles"] == 2
@@ -33,7 +33,7 @@ class TestBasicExecution:
     def test_rotate_order_is_fair(self):
         m = Machine(2, order="rotate")
         t = m.run([emitter(0, 2), emitter(10, 2)])
-        procs = [ev[0] for ev in t.events]
+        procs = [ev[0] for ev in t]
         assert procs == [0, 1, 1, 0]
 
     def test_random_order_deterministic_by_seed(self):
@@ -41,7 +41,7 @@ class TestBasicExecution:
             [emitter(0, 4), emitter(10, 4), emitter(20, 4)])
         b = Machine(3, order="random", seed=1).run(
             [emitter(0, 4), emitter(10, 4), emitter(20, 4)])
-        assert a.events == b.events
+        assert list(a) == list(b)
 
     def test_fewer_threads_than_procs(self):
         m = Machine(4)
@@ -73,7 +73,7 @@ class TestBlocking:
             yield ops.load(2)
 
         t = Machine(2, order="fixed").run([waiter(), setter()])
-        addrs = [a for _, _, a in t.events]
+        addrs = [a for _, _, a in t]
         assert addrs.index(1) > addrs.index(0)
 
     def test_true_predicate_costs_nothing(self):
@@ -176,8 +176,8 @@ class TestRunThreads:
             return gen()
 
         t = run_threads(3, factory, name="f")
-        assert sorted(a for _, _, a in t.events) == [0, 1, 2]
-        assert all(op == STORE for _, op, _ in t.events)
+        assert sorted(a for _, _, a in t) == [0, 1, 2]
+        assert all(op == STORE for _, op, _ in t)
         assert t.name == "f"
 
     def test_meta_merged(self):

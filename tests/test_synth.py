@@ -70,11 +70,11 @@ class TestUniformRandom:
     def test_deterministic(self):
         a = synth.uniform_random(4, 64, 500, seed=9)
         b = synth.uniform_random(4, 64, 500, seed=9)
-        assert a.events == b.events
+        assert list(a) == list(b)
 
     def test_store_fraction_zero_is_read_only(self):
         t = synth.uniform_random(4, 64, 500, store_fraction=0.0, seed=1)
-        assert all(op == 0 for _, op, _ in t.events)
+        assert all(op == 0 for _, op, _ in t)
         bd = DuboisClassifier.classify_trace(t, BlockMap(64))
         assert bd.total == bd.pc
 

@@ -5,8 +5,8 @@ import pytest
 from repro.classify import TorrellasClassifier
 from repro.errors import TraceError
 from repro.mem import BlockMap
-from repro.trace import TraceBuilder
-from repro.trace.events import ACQUIRE
+from repro.trace import Trace, TraceBuilder
+from repro.trace.events import ACQUIRE, LOAD, RELEASE
 
 
 def run(trace, block_bytes):
@@ -87,9 +87,9 @@ class TestRules:
 
 class TestAPI:
     def test_sync_ignored_via_event(self):
-        clf = TorrellasClassifier(1, BlockMap(4))
-        clf.event(0, ACQUIRE, 0)
-        assert clf.finish().data_refs == 0
+        t = Trace([(0, ACQUIRE, 0), (0, LOAD, 0), (0, RELEASE, 0)], 1)
+        bd = TorrellasClassifier.classify_trace(t, BlockMap(4))
+        assert bd.data_refs == 1 and bd.total == 1
 
     def test_access_rejects_sync(self):
         clf = TorrellasClassifier(1, BlockMap(4))

@@ -38,6 +38,19 @@ class TestConstruction:
         with pytest.raises(TraceError):
             Trace([], num_procs=0)
 
+    def test_address_beyond_int64_rejected_at_construction(self):
+        with pytest.raises(TraceError,
+                           match=r"field 9223372036854775808 in event "
+                                 r"\(0, 0, 9223372036854775808\) is not "
+                                 r"an int64 integer"):
+            Trace([(0, LOAD, 2**63)])
+
+    def test_bad_event_message_names_the_event(self):
+        with pytest.raises(TraceError,
+                           match=r"bad word address 1\.5 in event "
+                                 r"\(0, 0, 1\.5\)"):
+            Trace([(0, LOAD, 1.5)])
+
     def test_meta_is_copied(self):
         meta = {"a": 1}
         t = Trace([], meta=meta)
@@ -66,11 +79,6 @@ class TestSequenceProtocol:
 
 
 class TestViews:
-    def test_data_events_filters_sync(self):
-        t = Trace(simple_events())
-        assert all(op in (LOAD, STORE) for _, op, _ in t.data_events())
-        assert len(list(t.data_events())) == 4
-
     def test_per_processor_preserves_program_order(self):
         t = Trace(simple_events())
         streams = t.per_processor()
@@ -115,7 +123,7 @@ class TestCombinators:
         s = t.sample(0.2, granularity=10)
         assert len(s) == 20
         # first two of every ten
-        assert s.events[:4] == [(0, LOAD, 0), (0, LOAD, 1),
+        assert list(s[:4]) == [(0, LOAD, 0), (0, LOAD, 1),
                                 (0, LOAD, 10), (0, LOAD, 11)]
 
     def test_sample_full_fraction_is_identity(self):
@@ -135,9 +143,9 @@ class TestMergeProgramOrder:
     def test_roundtrip(self):
         t = Trace(simple_events())
         streams = t.per_processor()
-        order = [ev[0] for ev in t.events]
+        order = [ev[0] for ev in t]
         rebuilt = merge_program_order(streams, order)
-        assert rebuilt.events == t.events
+        assert list(rebuilt) == list(t)
 
     def test_incomplete_order_rejected(self):
         t = Trace(simple_events())
@@ -146,6 +154,6 @@ class TestMergeProgramOrder:
 
     def test_overrun_order_rejected(self):
         t = Trace(simple_events())
-        order = [ev[0] for ev in t.events] + [0]
+        order = [ev[0] for ev in t] + [0]
         with pytest.raises(TraceError):
             merge_program_order(t.per_processor(), order)

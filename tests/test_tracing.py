@@ -67,8 +67,7 @@ SIZES = (32, 128)
 @pytest.fixture(scope="module")
 def trace():
     full = make_workload("MP3D200").generate()
-    return Trace(full.events[:4000], full.num_procs, name="MP3D200",
-                 copy=False)
+    return Trace(full[:4000], full.num_procs, name="MP3D200")
 
 
 def _loopback_available() -> bool:

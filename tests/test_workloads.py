@@ -13,7 +13,7 @@ class TestLU:
     def test_determinism(self):
         a = LU(8, num_procs=4).generate()
         b = LU(8, num_procs=4).generate()
-        assert a.events == b.events
+        assert list(a) == list(b)
 
     def test_race_free(self, lu_trace):
         assert check_races(lu_trace).is_race_free
@@ -30,7 +30,7 @@ class TestLU:
         """Columns are single-writer: every store to a column's words comes
         from its round-robin owner."""
         n, procs, ew = 12, 4, 2
-        for proc, op, addr in lu_trace.events:
+        for proc, op, addr in lu_trace:
             if op != 1:
                 continue
             col = addr // (n * ew)
@@ -59,7 +59,7 @@ class TestJacobi:
     def test_determinism(self):
         a = Jacobi(8, iterations=2, num_procs=4).generate()
         b = Jacobi(8, iterations=2, num_procs=4).generate()
-        assert a.events == b.events
+        assert list(a) == list(b)
 
     def test_true_sharing_halves_from_4_to_8_bytes(self, jacobi_trace):
         """8-byte elements: the paper's B=4 -> B=8 halving."""
@@ -98,8 +98,8 @@ class TestMP3D:
         a = MP3D(30, num_cells=8, time_steps=2, num_procs=4, seed=1).generate()
         b = MP3D(30, num_cells=8, time_steps=2, num_procs=4, seed=1).generate()
         c = MP3D(30, num_cells=8, time_steps=2, num_procs=4, seed=2).generate()
-        assert a.events == b.events
-        assert a.events != c.events
+        assert list(a) == list(b)
+        assert list(a) != list(c)
 
     def test_locking_produces_acquires(self, mp3d_trace):
         counts = mp3d_trace.counts()
@@ -140,7 +140,7 @@ class TestWater:
     def test_determinism(self):
         a = Water(6, time_steps=1, num_procs=3).generate()
         b = Water(6, time_steps=1, num_procs=3).generate()
-        assert a.events == b.events
+        assert list(a) == list(b)
 
     def test_molecule_false_sharing_near_record_size(self, water_trace):
         """680-byte molecules: PFS grows as blocks approach the record."""
@@ -197,13 +197,13 @@ class TestSOR:
     def test_determinism(self):
         a = SOR(8, iterations=1, num_procs=4).generate()
         b = SOR(8, iterations=1, num_procs=4).generate()
-        assert a.events == b.events
+        assert list(a) == list(b)
 
     def test_in_place_single_writer(self, sor_trace):
         """Every grid cell is written only by its owning processor."""
         dim, ew, side = 16, 2, 2
         sub = dim // side
-        for proc, op, addr in sor_trace.events:
+        for proc, op, addr in sor_trace:
             if op != 1:
                 continue
             cell = addr // ew
@@ -223,7 +223,7 @@ class TestSOR:
     def test_two_barriers_per_iteration(self, sor_trace):
         # 2 colors x 2 iterations = 4 barrier episodes; the last arrivers
         # release the flag once per episode.
-        releases = [a for p, op, a in sor_trace.events if op == 3]
+        releases = [a for p, op, a in sor_trace if op == 3]
         iterations = sor_trace.meta["config"]["iterations"]
         assert len(releases) >= 2 * iterations
 
