@@ -44,11 +44,13 @@ def test_classifier_throughput(benchmark, bench_json, mp3d200, classifier):
                max_rss_kb=rss_kb)
 
 
+@pytest.mark.parametrize("block_bytes", [64, 1024])
 @pytest.mark.parametrize("protocol", ["MIN", "OTF", "RD", "SD", "SRD",
                                       "WBWI", "MAX"])
-def test_protocol_throughput(benchmark, bench_json, mp3d200, protocol):
+def test_protocol_throughput(benchmark, bench_json, mp3d200, protocol,
+                             block_bytes):
     result = benchmark.pedantic(
-        lambda: run_protocol(protocol, mp3d200, 64),
+        lambda: run_protocol(protocol, mp3d200, block_bytes),
         rounds=3, iterations=1)
     assert result.misses > 0
     eps = int(len(mp3d200) / benchmark.stats.stats.mean)
@@ -56,7 +58,7 @@ def test_protocol_throughput(benchmark, bench_json, mp3d200, protocol):
     benchmark.extra_info["events"] = len(mp3d200)
     benchmark.extra_info["events_per_sec"] = eps
     benchmark.extra_info["max_rss_kb"] = rss_kb
-    bench_json(f"protocol/{protocol}/MP3D200/B64",
+    bench_json(f"protocol/{protocol}/MP3D200/B{block_bytes}",
                mode="serial", events=len(mp3d200), events_per_sec=eps,
                max_rss_kb=rss_kb)
 

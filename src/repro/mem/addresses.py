@@ -43,6 +43,10 @@ class BlockMap:
             raise ConfigError(
                 f"block size must be at least one word ({WORD_SIZE} bytes), "
                 f"got {self.block_bytes}")
+        # Cached for the per-address hot path.  Plain attributes, not
+        # fields, so equality, hashing and repr still see only block_bytes.
+        object.__setattr__(self, "_shift", self.offset_bits)
+        object.__setattr__(self, "_mask", self.words_per_block - 1)
 
     @property
     def words_per_block(self) -> int:
@@ -56,11 +60,11 @@ class BlockMap:
 
     def block_of(self, word_addr: int) -> int:
         """Block address containing ``word_addr``."""
-        return word_addr >> self.offset_bits
+        return word_addr >> self._shift
 
     def word_offset(self, word_addr: int) -> int:
         """Offset of ``word_addr`` within its block, in words."""
-        return word_addr & (self.words_per_block - 1)
+        return word_addr & self._mask
 
     def base_word(self, block_addr: int) -> int:
         """First word address of block ``block_addr``."""

@@ -6,24 +6,33 @@ store.  The delayed protocols (RD/SD/SRD/MAX) let lifetimes stretch past
 remote stores, so the paper's Figure 6 decomposition (TRUE/COLD/FALSE per
 protocol) needs a generalization: the :class:`LifetimeTracker`.
 
-Semantics (fetch-snapshot)
---------------------------
-Each word carries a *version*, bumped when a store to it is **performed**
-(made globally visible — at issue for OTF/RD/WBWI/MIN, at the release flush
-for SD/SRD).  Each processor *knows* a version of each word: the version it
-defined itself, or the version delivered to it by its last essential miss.
-A fetch snapshots, per word of the block, the fresh versions the fetched
-copy carries (``version > known``).  The miss that caused the fetch is
-**essential** iff the processor, during the lifetime, accesses a word that
-was fresh *in the snapshot*; at that moment all snapshot versions become
-known (the whole fetched block was delivered), mirroring Appendix A's
-clearing of every C flag of the block.
+Semantics (store-sequence watermarks)
+-------------------------------------
+Each store **performed** (made globally visible — at issue for
+OTF/RD/WBWI/MIN, at the release flush for SD/SRD) gets the next number of
+one global sequence.  A fetch at sequence ``F`` carries, per word, the
+value of the word's last store numbered ``<= F``.  That value is **fresh**
+to the fetching processor unless the processor wrote it, an update message
+(:meth:`LifetimeTracker.deliver_word`) delivered it or a later one, or it
+is at or below the (processor, block) *watermark*: the fetch sequence of
+the processor's last essential lifetime of the block, whose miss delivered
+the whole fetched block.  The miss is **essential** iff the processor,
+during the lifetime, accesses a word whose fetched value is fresh; the
+watermark then moves to ``F``, mirroring Appendix A's clearing of every C
+flag of the block.  A cold miss is CFS rather than PC iff some word was
+fresh at the fetch.
 
 Stores performed *after* the fetch do not make the current lifetime
 essential — their values are not in the cached copy — which is exactly the
 distinction Appendix A never needs (under OTF such stores end the lifetime)
-but delayed schedules do.  For an OTF schedule this tracker provably
-produces the same counts as the Appendix A transliteration
+but delayed schedules do.  Freshness is read from the writer of the fetched
+value, so a store the processor itself performs after the fetch (an SD/SRD
+flush) does not hide a value that was fresh in the fetched copy.
+
+Every event costs O(1), or a bisection of the word's store list for an
+access that may still turn its lifetime essential: independent of the block
+size.  For an OTF schedule this tracker provably produces the same counts
+as the Appendix A transliteration
 :class:`~repro.classify.dubois.DuboisClassifier` and its vectorized
 counterpart :func:`~repro.kernels.classifiers.dubois_kernel` (asserted by
 the integration tests).
@@ -31,24 +40,31 @@ the integration tests).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, List, Optional
 
 from ..errors import ProtocolError
 from ..mem.addresses import BlockMap
 from ..classify.breakdown import DuboisBreakdown, MissClass
 
+#: The five classes, in the order of the tracker's count list.
+_CLASSES = (MissClass.PC, MissClass.CTS, MissClass.CFS, MissClass.PTS,
+            MissClass.PFS)
+
 
 class _Lifetime:
     """State of one (block, processor) lifetime between fetch and invalidation."""
 
-    __slots__ = ("fresh", "essential", "dirty_at_fetch", "replacement")
+    __slots__ = ("fetch_seq", "open", "essential", "replacement")
 
-    def __init__(self, fresh: Optional[Dict[int, int]], replacement: bool):
-        #: word -> fetched version, for words carrying values new to the
-        #: processor; None once the lifetime has turned essential.
-        self.fresh = fresh
+    def __init__(self, fetch_seq: int, open_: bool, replacement: bool):
+        #: Sequence number of the last store performed before the fetch.
+        self.fetch_seq = fetch_seq
+        #: True while an access may still find a fresh value: there was a
+        #: store past the watermark at fetch time (for a cold miss: some
+        #: word was fresh) and no fresh access yet.
+        self.open = open_
         self.essential = False
-        self.dirty_at_fetch = bool(fresh)
         #: True when the miss that started this lifetime re-fetched a block
         #: lost to a cache replacement (finite caches only).  Such misses
         #: are *replacement misses* — essential by definition (paper
@@ -73,18 +89,28 @@ class LifetimeTracker:
     def __init__(self, num_procs: int, block_map: BlockMap):
         self.num_procs = num_procs
         self.block_map = block_map
-        # version[word]: bumped per performed store; missing == 0.
-        self._version: Dict[int, int] = {}
-        # known[word]: per-proc list of known versions; missing == all 0.
-        self._known: Dict[int, List[int]] = {}
+        self._shift = block_map.offset_bits
+        # Number of the last performed store (0: none yet).
+        self._seq = 0
+        # stores[word]: ascending performed-store numbers, and beside them
+        # writers[word]: the processor that performed each.
+        self._stores: Dict[int, List[int]] = {}
+        self._writers: Dict[int, List[int]] = {}
+        # Per block: words ever stored, and the number of its last store.
+        self._block_words: Dict[int, List[int]] = {}
+        self._block_last: Dict[int, int] = {}
+        # watermark[block]: per-proc fetch number of the last essential
+        # lifetime; missing == all 0.
+        self._watermark: Dict[int, List[int]] = {}
+        # delivered[word]: per-proc number of the last store whose value an
+        # update message delivered; missing == all 0.
+        self._delivered: Dict[int, List[int]] = {}
         # active[block]: per-proc list of live _Lifetime (or None).
         self._active: Dict[int, List[Optional[_Lifetime]]] = {}
         # First-Reference mask per block (set once a lifetime is classified).
         self._fr: Dict[int, int] = {}
-        # Blocks ever stored to (fast path: fetches of clean blocks).
-        self._block_stored: Dict[int, bool] = {}
-        self._counts = {MissClass.PC: 0, MissClass.CTS: 0, MissClass.CFS: 0,
-                        MissClass.PTS: 0, MissClass.PFS: 0}
+        # Lifetimes classified per class, indexed as _CLASSES.
+        self._counts = [0] * len(_CLASSES)
         self._data_refs = 0
         self._finished = False
         #: Replacement misses counted apart (finite-cache extension).
@@ -94,19 +120,17 @@ class LifetimeTracker:
     # store visibility
     # ------------------------------------------------------------------
     def store_performed(self, proc: int, word: int) -> None:
-        """A store to ``word`` by ``proc`` becomes globally visible.
-
-        Bumps the word version and records that the writer knows the value
-        it defined.
-        """
-        v = self._version.get(word, 0) + 1
-        self._version[word] = v
-        known = self._known.get(word)
-        if known is None:
-            known = [0] * self.num_procs
-            self._known[word] = known
-        known[proc] = v
-        self._block_stored[self.block_map.block_of(word)] = True
+        """A store to ``word`` by ``proc`` becomes globally visible."""
+        self._seq = seq = self._seq + 1
+        block = word >> self._shift
+        stores = self._stores.get(word)
+        if stores is None:
+            self._stores[word] = stores = []
+            self._writers[word] = []
+            self._block_words.setdefault(block, []).append(word)
+        stores.append(seq)
+        self._writers[word].append(proc)
+        self._block_last[block] = seq
 
     # ------------------------------------------------------------------
     # lifetime events
@@ -125,66 +149,76 @@ class LifetimeTracker:
         if row[proc] is not None:
             raise ProtocolError(
                 f"P{proc} fetches block {block:#x} while already holding it")
-        fresh: Optional[Dict[int, int]] = None
-        if self._block_stored.get(block):
-            version = self._version
-            known = self._known
-            snapshot = {}
-            for w in self.block_map.words_of(block):
-                v = version.get(w, 0)
-                if v:
-                    k = known.get(w)
-                    if k is None or k[proc] < v:
-                        snapshot[w] = v
-            fresh = snapshot or None
-        row[proc] = _Lifetime(fresh, replacement)
+        marks = self._watermark.get(block)
+        mark = marks[proc] if marks is not None else 0
+        open_ = self._block_last.get(block, 0) > mark
+        if open_ and not self._fr.get(block, 0) & (1 << proc):
+            # A cold miss (so mark == 0): is any stored word fresh now?  If
+            # none is, no access of this lifetime can find one either.
+            delivered = self._delivered
+            open_ = False
+            for w in self._block_words[block]:
+                if self._writers[w][-1] != proc:
+                    d = delivered.get(w)
+                    if d is None or d[proc] < self._stores[w][-1]:
+                        open_ = True
+                        break
+        row[proc] = _Lifetime(self._seq, open_, replacement)
 
     def access(self, proc: int, word: int) -> None:
         """``proc`` performs a data reference to ``word`` (hit or post-fetch)."""
         self._data_refs += 1
-        block = self.block_map.block_of(word)
+        block = word >> self._shift
         row = self._active.get(block)
         life = row[proc] if row is not None else None
         if life is None:
             raise ProtocolError(
                 f"P{proc} accesses word {word:#x} without a live copy of "
                 f"block {block:#x} (protocol forgot to fetch?)")
-        fresh = life.fresh
-        if fresh is not None and word in fresh:
-            life.essential = True
-            # The essential miss delivered every snapshot value.
-            known_map = self._known
-            for w, v in fresh.items():
-                k = known_map.get(w)
-                if k is None:
-                    k = [0] * self.num_procs
-                    known_map[w] = k
-                if k[proc] < v:
-                    k[proc] = v
-            life.fresh = None
+        if not life.open:
+            return
+        stores = self._stores.get(word)
+        if stores is None:
+            return
+        # The fetched value of the word: its last store numbered <= F.
+        fetch_seq = life.fetch_seq
+        i = len(stores) - 1
+        if stores[i] > fetch_seq:
+            i = bisect_right(stores, fetch_seq) - 1
+            if i < 0:
+                return
+        if self._writers[word][i] == proc:
+            return
+        seq = stores[i]
+        marks = self._watermark.get(block)
+        if marks is not None and seq <= marks[proc]:
+            return
+        delivered = self._delivered.get(word)
+        if delivered is not None and seq <= delivered[proc]:
+            return
+        # Fresh: the miss was essential and delivered the whole fetched block.
+        life.essential = True
+        life.open = False
+        if marks is None:
+            marks = [0] * self.num_procs
+            self._watermark[block] = marks
+        marks[proc] = fetch_seq
 
     def deliver_word(self, proc: int, word: int) -> None:
         """An update message pushes ``word``'s current value into ``proc``'s
 
         cache (write-update / competitive-update protocols).  The processor
-        now knows the value without a miss; if the live lifetime's fetch
-        snapshot still carried an older pending value of the word, that
-        delivery is superseded."""
-        v = self._version.get(word, 0)
-        if not v:
+        now knows the value without a miss; if the live lifetime's fetched
+        copy still carried an older pending value of the word, that delivery
+        is superseded."""
+        stores = self._stores.get(word)
+        if stores is None:
             return
-        known = self._known.get(word)
-        if known is None:
-            known = [0] * self.num_procs
-            self._known[word] = known
-        if known[proc] < v:
-            known[proc] = v
-        row = self._active.get(self.block_map.block_of(word))
-        life = row[proc] if row is not None else None
-        if life is not None and life.fresh is not None and word in life.fresh:
-            del life.fresh[word]
-            if not life.fresh:
-                life.fresh = None
+        delivered = self._delivered.get(word)
+        if delivered is None:
+            delivered = [0] * self.num_procs
+            self._delivered[word] = delivered
+        delivered[proc] = stores[-1]
 
     def holds(self, proc: int, block: int) -> bool:
         """True if ``proc`` currently has a live lifetime for ``block``."""
@@ -216,19 +250,14 @@ class LifetimeTracker:
             self.replacement_misses += 1
             return None
         if not fr & bit:
+            # A cold lifetime was open at fetch iff some word was fresh, and
+            # closes only on turning essential: open now means CFS.
             self._fr[block] = fr | bit
-            if life.essential:
-                mclass = MissClass.CTS
-            elif life.dirty_at_fetch:
-                mclass = MissClass.CFS
-            else:
-                mclass = MissClass.PC
-        elif life.essential:
-            mclass = MissClass.PTS
+            k = 1 if life.essential else 2 if life.open else 0
         else:
-            mclass = MissClass.PFS
-        self._counts[mclass] += 1
-        return mclass
+            k = 3 if life.essential else 4
+        self._counts[k] += 1
+        return _CLASSES[k]
 
     def finish(self) -> DuboisBreakdown:
         """Classify all live lifetimes and return the five-way breakdown."""
@@ -240,7 +269,6 @@ class LifetimeTracker:
                 if life is not None:
                     self._classify(proc, block, life)
                     row[proc] = None
-        c = self._counts
-        return DuboisBreakdown(pc=c[MissClass.PC], cts=c[MissClass.CTS],
-                               cfs=c[MissClass.CFS], pts=c[MissClass.PTS],
-                               pfs=c[MissClass.PFS], data_refs=self._data_refs)
+        pc, cts, cfs, pts, pfs = self._counts
+        return DuboisBreakdown(pc=pc, cts=cts, cfs=cfs, pts=pts, pfs=pfs,
+                               data_refs=self._data_refs)

@@ -77,6 +77,8 @@ class MAXSchedule(Protocol):
     def __init__(self, num_procs, block_map):
         super().__init__(num_procs, block_map)
         self._groups: Dict[int, List[_TokenGroup]] = {}
+        # prune_at[block]: group count above which the block is re-pruned.
+        self._prune_at: Dict[int, int] = {}
         # fetch_index[block]: per-proc index of the current copy's fetch.
         self._fetch_index: Dict[int, List[int]] = {}
         self._t = 0
@@ -125,7 +127,7 @@ class MAXSchedule(Protocol):
             g = _TokenGroup(proc, deadline, self.num_procs)
             g.count = 1
             groups.append(g)
-            if len(groups) > _PRUNE_THRESHOLD:
+            if len(groups) > self._prune_at.get(block, _PRUNE_THRESHOLD):
                 self._prune(block, groups)
         self.tracker.store_performed(proc, addr)
         self._t += 1
@@ -184,7 +186,14 @@ class MAXSchedule(Protocol):
         row[proc] = self._t
 
     def _prune(self, block: int, groups: List[_TokenGroup]) -> None:
-        """Drop token groups that can no longer kill any copy."""
+        """Drop token groups that can no longer kill any copy.
+
+        A dropped group's deadline has passed and no current holder can be
+        killed by it, so it can never become feasible again: pruning later
+        rather than sooner changes nothing but the scan lengths.  The block
+        is re-pruned only once its groups outnumber twice the survivors,
+        which keeps the pruning cost amortized O(1) per new group.
+        """
         valid_mask = self.valid.get(block, 0)
         fetch_row = self._fetch_index.get(block)
         t = self._t
@@ -205,3 +214,4 @@ class MAXSchedule(Protocol):
             if alive:
                 keep.append(g)
         groups[:] = keep
+        self._prune_at[block] = max(_PRUNE_THRESHOLD, 2 * len(keep))

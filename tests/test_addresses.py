@@ -1,5 +1,8 @@
 """Unit tests for word/block address arithmetic."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import ConfigError
@@ -76,6 +79,14 @@ class TestBlockMap:
         bm = BlockMap(8)
         with pytest.raises(Exception):
             bm.block_bytes = 16
+
+    def test_cached_shift_is_not_a_field(self):
+        bm = BlockMap(64)
+        assert [f.name for f in dataclasses.fields(bm)] == ["block_bytes"]
+        assert bm == BlockMap(64) and hash(bm) == hash(BlockMap(64))
+        clone = pickle.loads(pickle.dumps(bm))
+        assert clone == bm
+        assert clone.block_of(100) == 6 and clone.word_offset(100) == 4
 
 
 class TestConversions:

@@ -4,8 +4,9 @@
 every benchmark cell.  Regenerating each small-suite trace at the default
 seed must reproduce a pinned content key (generation and column packing
 are byte-identical) and the pinned Fig. 5 digests at B=64 and B=1024;
-LU32 also checks all seven Fig. 6 protocols at B=64.  The pins are only
-read here, never written.
+LU32 also checks all seven Fig. 6 protocols at B=64 and B=1024 (the page
+size, where the lifetime tracker's cost would grow with the block if it
+walked the block's words).  The pins are only read here, never written.
 """
 
 import json
@@ -33,7 +34,8 @@ def golden_cells(name):
     cells = [(kind, block, which) for block in (64, 1024)
              for kind, which in (("classify", "dubois"), ("compare", None))]
     if name == "LU32":
-        cells += [("protocol", 64, p) for p in SCHEDULES]
+        cells += [("protocol", block, p) for block in (64, 1024)
+                  for p in SCHEDULES]
     return cells
 
 

@@ -1,8 +1,12 @@
 """Unit tests for the MAX worst-case invalidation schedule."""
 
+import random
+
 import pytest
 
+from repro.mem import BlockMap
 from repro.protocols import run_protocol, run_protocols
+from repro.protocols.maxsched import MAXSchedule
 from repro.trace import TraceBuilder
 from repro.trace.synth import (
     false_sharing_pingpong,
@@ -101,3 +105,34 @@ class TestAccounting:
             b.load(0, 0)
         r = run_protocol("MAX", b.build(), 4)
         assert r.misses == 1 + 1 + 5  # both colds + every P0 reload killed
+
+
+class TestPruning:
+    def test_pruning_never_changes_the_result(self, monkeypatch):
+        """A pruned token group can never become feasible again, so
+        pruning (whenever it runs) leaves misses and counters unchanged."""
+        rng = random.Random(7)
+        b = TraceBuilder(3)
+        for _ in range(3000):
+            p = rng.randrange(3)
+            r = rng.random()
+            if r < 0.1:
+                b.release(p, 1000 + p)     # a new deadline per release
+            elif r < 0.5:
+                b.store(p, rng.randrange(16))
+            else:
+                b.load(p, rng.randrange(16))
+        trace = b.build()
+
+        def run():
+            r = MAXSchedule(3, BlockMap(64)).run(trace)
+            return r.breakdown, vars(r.counters)
+
+        calls = []
+        prune = MAXSchedule._prune
+        monkeypatch.setattr(MAXSchedule, "_prune", lambda self, *a:
+                            calls.append(1) or prune(self, *a))
+        pruned = run()
+        assert calls, "the trace never reached the prune threshold"
+        monkeypatch.setattr(MAXSchedule, "_prune", lambda self, *a: None)
+        assert run() == pruned
